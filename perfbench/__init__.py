@@ -1,0 +1,1 @@
+"""grovergeo benchmark: four workloads, end-to-end metrics and a traced per-layer run."""
