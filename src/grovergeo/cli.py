@@ -17,11 +17,10 @@ import numpy as np
 
 from . import __version__
 from . import entanglement as ent
-from . import kernels
-from .errors import ConvergenceError, GrovergeoError
+from .errors import ConvergenceError, GrovergeoError, SizeError
 from .grover_engine import (
+    _MAX_QUBITS,
     SearchInstance,
-    fourier_state,  # noqa: F401  (re-exported for interactive use)
     grover_state,
     optimal_query_count,
     search_metrics,
@@ -31,6 +30,7 @@ from .ray_space import Ray, fs_distance
 from .segre import grover_separability_residual, max_quadric_residual
 
 _ORACLE_RESOLUTION = 1024
+_SEPARABILITY_MAX_QUBITS = 1023  # 2**n - 1 must convert to a float
 
 
 class NumericalFailure(click.ClickException):
@@ -78,6 +78,12 @@ def _write_csv(out, command, config, units, columns, rows):
             fh.write(text)
 
 
+def _check_n(n, lo, hi):
+    # keeps n < 0 and 2**n beyond float range away from _angle_grid
+    if not lo <= n <= hi:
+        raise SizeError(f"n must be in [{lo}, {hi}], got n={n}")
+
+
 def _angle_grid(n, points):
     t_min = math.atan2(1.0, math.sqrt((1 << n) - 1))
     return np.linspace(t_min, math.pi / 2.0, points)
@@ -90,15 +96,14 @@ def main():
 
 
 @main.command("grover-trace")
-@click.option("--n", type=int, required=True, help="Number of qubits (<= 20).")
+@click.option("--n", type=int, required=True, help="Number of qubits (2..20).")
 @click.option("--target", type=int, default=0, show_default=True, help="Marked basis index.")
 @click.option("--kmax", type=int, default=None, help="Last query count [default: optimal].")
 @click.option("--out", type=click.Path(dir_okay=False, allow_dash=True), default="-", show_default=True)
 @_guarded
 def grover_trace(n, target, kmax, out):
     """Trace a search run: success, distance, step speed, quadric residual."""
-    if n > 20:
-        raise click.UsageError(f"grover-trace supports n <= 20, got n={n}")
+    _check_n(n, 2, 20)
     inst = SearchInstance(n, target)
     if kmax is None:
         kmax = optimal_query_count(inst.size)
@@ -125,7 +130,7 @@ def grover_trace(n, target, kmax, out):
 
 
 @main.command("entangle-sweep")
-@click.option("--n", type=int, required=True, help="Number of qubits.")
+@click.option("--n", type=int, required=True, help="Number of qubits (1..24; oracle sweeps <= 8).")
 @click.option("--points", type=int, default=100, show_default=True, help="Grid size (>= 2).")
 @click.option(
     "--method",
@@ -140,13 +145,13 @@ def entangle_sweep(n, points, method, seed, out):
     """Sweep entanglement along the search path at uniform path angles."""
     if points < 2:
         raise click.UsageError(f"points must be >= 2, got {points}")
+    _check_n(n, 1, _MAX_QUBITS)
     if method in ("oracle", "all") and n > 8:
         raise click.UsageError(f"oracle sweeps support n <= 8, got n={n}")
     ts = _angle_grid(n, points)
     config = {"n": n, "points": points, "method": method, "seed": seed}
     if method in ("oracle", "all"):
         config["resolution"] = _ORACLE_RESOLUTION
-        config["backend"] = kernels.backend()
 
     def level(t):
         return ent.GroverPathPoint.from_angle(n, t).u
@@ -255,7 +260,7 @@ def search_time(qmin, qmax, points, out):
 
 
 @main.command("separability")
-@click.option("--n", type=int, required=True, help="Number of qubits (>= 2).")
+@click.option("--n", type=int, required=True, help="Number of qubits (2..1023).")
 @click.option("--points", type=int, default=2000, show_default=True, help="Grid size (>= 2).")
 @click.option("--out", type=click.Path(dir_okay=False, allow_dash=True), default="-", show_default=True)
 @_guarded
@@ -263,6 +268,7 @@ def separability(n, points, out):
     """Scan the quadric residual of the path state over its mixing angle."""
     if points < 2:
         raise click.UsageError(f"points must be >= 2, got {points}")
+    _check_n(n, 2, _SEPARABILITY_MAX_QUBITS)
     size = 1 << n
     rows = []
     for phi in _angle_grid(n, points):

@@ -89,10 +89,6 @@ class GroverPathPoint:
         object.__setattr__(self, "u", u)
 
     @classmethod
-    def from_parameter(cls, n: int, u: float) -> "GroverPathPoint":
-        return cls(n, u)
-
-    @classmethod
     def from_angle(cls, n: int, t: float) -> "GroverPathPoint":
         """Point at path angle ``t``; success probability is sin(t)**2.
 

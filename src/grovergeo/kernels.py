@@ -1,49 +1,19 @@
-"""Hot numerical kernels with a numba fast path and a numpy fallback.
+"""The two hot numerical kernels, in vectorized numpy.
 
 Two inner loops dominate the package's runtime: the exhaustive (r, chi)
 grid maximization of a polynomial overlap, and the per-qubit coordinate
-ascent toward the closest product state.  Both are provided twice with
-identical semantics:
-
-* ``*_numba`` -- compiled with ``numba.njit`` (the grid kernel in parallel),
-* ``*_numpy`` -- vectorized numpy, used when numba is unavailable or when
-  the environment variable ``GROVERGEO_DISABLE_NUMBA`` is set to a truthy
-  value ("1", "true", "yes", "on").
-
-The module-level names ``poly_grid_max`` and ``product_ascent`` point at
-the active backend; ``backend()`` reports which one that is.
+ascent toward the closest product state.
 """
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-__all__ = [
-    "HAS_NUMBA",
-    "NUMBA_ENV_FLAG",
-    "backend",
-    "poly_grid_max",
-    "product_ascent",
-    "poly_grid_max_numpy",
-    "product_ascent_numpy",
-]
-
-NUMBA_ENV_FLAG = "GROVERGEO_DISABLE_NUMBA"
-
-_disabled = os.environ.get(NUMBA_ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-HAS_NUMBA = False
-if not _disabled:
-    try:
-        from numba import njit, prange
-
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - environment dependent
-        HAS_NUMBA = False
+__all__ = ["poly_grid_max", "product_ascent"]
 
 
-def poly_grid_max_numpy(coeffs, r_grid, chi_grid):
+def poly_grid_max(coeffs, r_grid, chi_grid):
     """Maximize |poly(v)|^2 / (1+r^2)^deg over the grid v = r e^{i chi}.
 
     ``coeffs`` holds the polynomial coefficients, constant term first; its
@@ -74,7 +44,7 @@ def poly_grid_max_numpy(coeffs, r_grid, chi_grid):
     return best_p, best_ir, best_ic
 
 
-def product_ascent_numpy(psi, n, factors, max_sweeps, tol):
+def product_ascent(psi, n, factors, max_sweeps, tol):
     """Coordinate ascent of |<product|psi>|^2 over single-qubit factors.
 
     ``factors`` is an (n, 2) complex array updated in place; qubit j of
@@ -106,92 +76,3 @@ def product_ascent_numpy(psi, n, factors, max_sweeps, tol):
             return nrm2, sweep + 1, True
         last = nrm2
     return nrm2, max_sweeps, False
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _poly_grid_max_numba(coeffs, r_grid, chi_grid):
-        deg = coeffs.size - 1
-        n_r = r_grid.size
-        n_c = chi_grid.size
-        row_best = np.empty(n_r, dtype=np.float64)
-        row_arg = np.empty(n_r, dtype=np.int64)
-        for ir in prange(n_r):
-            r = r_grid[ir]
-            denom = (1.0 + r * r) ** deg
-            best = -1.0
-            arg = 0
-            for ic in range(n_c):
-                v = complex(r * math.cos(chi_grid[ic]), r * math.sin(chi_grid[ic]))
-                acc = coeffs[deg]
-                for z in range(deg - 1, -1, -1):
-                    acc = acc * v + coeffs[z]
-                p = (acc.real * acc.real + acc.imag * acc.imag) / denom
-                if p > best:
-                    best = p
-                    arg = ic
-            row_best[ir] = best
-            row_arg[ir] = arg
-        best_p = -1.0
-        best_ir = 0
-        best_ic = 0
-        for ir in range(n_r):
-            if row_best[ir] > best_p:
-                best_p = row_best[ir]
-                best_ir = ir
-                best_ic = row_arg[ir]
-        return best_p, best_ir, best_ic
-
-    def poly_grid_max_numba(coeffs, r_grid, chi_grid):
-        coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
-        r_grid = np.ascontiguousarray(r_grid, dtype=np.float64)
-        chi_grid = np.ascontiguousarray(chi_grid, dtype=np.float64)
-        best_p, best_ir, best_ic = _poly_grid_max_numba(coeffs, r_grid, chi_grid)
-        return float(best_p), int(best_ir), int(best_ic)
-
-    @njit(cache=True)
-    def _product_ascent_numba(psi, n, factors, max_sweeps, tol):
-        size = psi.size
-        last = -1.0
-        nrm2 = 0.0
-        for sweep in range(max_sweeps):
-            for i in range(n):
-                shift_i = n - 1 - i
-                t0 = 0.0j
-                t1 = 0.0j
-                for x in range(size):
-                    wgt = psi[x]
-                    for j in range(n):
-                        if j != i:
-                            b = (x >> (n - 1 - j)) & 1
-                            wgt = wgt * factors[j, b].conjugate()
-                    if (x >> shift_i) & 1 == 0:
-                        t0 += wgt
-                    else:
-                        t1 += wgt
-                nrm2 = t0.real * t0.real + t0.imag * t0.imag + t1.real * t1.real + t1.imag * t1.imag
-                nrm = math.sqrt(nrm2)
-                if nrm > 0.0:
-                    factors[i, 0] = t0 / nrm
-                    factors[i, 1] = t1 / nrm
-            if abs(nrm2 - last) <= tol:
-                return nrm2, sweep + 1, True
-            last = nrm2
-        return nrm2, max_sweeps, False
-
-    def product_ascent_numba(psi, n, factors, max_sweeps, tol):
-        psi = np.ascontiguousarray(psi, dtype=np.complex128)
-        nrm2, sweeps, ok = _product_ascent_numba(psi, n, factors, max_sweeps, tol)
-        return float(nrm2), int(sweeps), bool(ok)
-
-    poly_grid_max = poly_grid_max_numba
-    product_ascent = product_ascent_numba
-else:
-    poly_grid_max = poly_grid_max_numpy
-    product_ascent = product_ascent_numpy
-
-
-def backend() -> str:
-    """Name of the active kernel backend: "numba" or "numpy"."""
-    return "numba" if HAS_NUMBA else "numpy"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .ray_space import Ray, canonical_form, fs_distance, _ascoords
+from .ray_space import Ray, canonical_form, _ascoords
 
 __all__ = [
     "QuadricSystem",
@@ -109,6 +109,21 @@ def _max_minor_residual(matrix: np.ndarray) -> float:
     return worst
 
 
+def _rebuild_distance(rebuilt: np.ndarray, original: np.ndarray) -> float:
+    """Fubini-Study distance from ``rebuilt`` to the unit vector ``original``.
+
+    Equals 2*arccos|<a|b>| for a = original, b = rebuilt, but is evaluated
+    as 4*arcsin(||a - c b|| / 2), with b scaled to unit norm and
+    c = <b|a>/|<b|a>| aligning its phase:
+    arccos cannot resolve distances below about 1e-7, where |<a|b>|
+    rounds to 1.
+    """
+    overlap = np.vdot(rebuilt, original)
+    phase = overlap / abs(overlap) if overlap != 0 else 1.0
+    gap = np.linalg.norm(original - phase * rebuilt / np.linalg.norm(rebuilt))
+    return float(4.0 * np.arcsin(min(1.0, gap / 2.0)))
+
+
 def max_quadric_residual(r: Ray, m: int, m_prime: int) -> float:
     """Largest constraint violation of a ray against the (m, m') quadrics.
 
@@ -166,7 +181,7 @@ def is_fully_separable(r: Ray, n: int, tol: float = 1e-9) -> SeparabilityReport:
     rebuilt = factors[0].coords
     for f in factors[1:]:
         rebuilt = np.kron(rebuilt, f.coords)
-    if fs_distance(rebuilt, original) > max(1e-8, 100.0 * tol):
+    if _rebuild_distance(rebuilt, original) > max(1e-8, 100.0 * tol):
         return SeparabilityReport(False, worst, None)
     return SeparabilityReport(True, worst, factors)
 

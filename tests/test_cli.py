@@ -166,8 +166,7 @@ class TestEntangleSweep:
         assert res.exit_code == 0
         headers, columns, rows = parse_csv(res.stdout)
         assert columns == ["t", "u", "E_exact", "E_approx", "E_oracle"]
-        assert "resolution=1024" in headers[2]
-        assert "backend=" in headers[2]
+        assert headers[2] == "# config: n=2 points=5 method=all seed=0 resolution=1024"
         for r in rows:
             e_exact, e_oracle = float(r[2]), float(r[4])
             assert e_oracle == pytest.approx(e_exact, abs=2e-3)
@@ -199,6 +198,15 @@ class TestEntangleSweep:
             main, ["entangle-sweep", "--n", "2", "--points", "2", "--method", "oracle"]
         )
         assert res.exit_code == 3
+
+
+@pytest.mark.parametrize("command", ["separability", "entangle-sweep"])
+@pytest.mark.parametrize("n", [-3, 0, 1024, 1100])
+def test_out_of_range_qubit_count_is_usage_error(runner, command, n):
+    res = runner.invoke(main, [command, "--n", str(n), "--points", "3"])
+    assert res.exit_code == 2
+    assert "Traceback" not in res.output
+    assert f"got n={n}" in res.output
 
 
 class TestMeasureCompare:

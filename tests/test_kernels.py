@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -33,33 +29,18 @@ class TestPolyGridMax:
             r = np.linspace(0.0, 1.0, 101)
             chi = np.linspace(0.0, 2 * np.pi, 97, endpoint=False)
             want = _brute_grid_max(coeffs, r, chi)
-            for impl in (kernels.poly_grid_max, kernels.poly_grid_max_numpy):
-                p, ir, ic = impl(coeffs, r, chi)
-                assert p == pytest.approx(want[0], rel=1e-12)
-                assert (ir, ic) == (want[1], want[2])
-
-    def test_backends_agree(self):
-        if not kernels.HAS_NUMBA:
-            pytest.skip("numba backend not active")
-        rng = np.random.default_rng(1)
-        for _ in range(5):
-            coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
-            r = np.linspace(0.0, 1.0, 173)
-            chi = np.linspace(0.0, 2 * np.pi, 211, endpoint=False)
-            pa, ra, ca = kernels.poly_grid_max_numba(coeffs, r, chi)
-            pb, rb, cb = kernels.poly_grid_max_numpy(coeffs, r, chi)
-            assert pa == pytest.approx(pb, rel=1e-12)
-            assert (ra, ca) == (rb, cb)
+            p, ir, ic = kernels.poly_grid_max(coeffs, r, chi)
+            assert p == pytest.approx(want[0], rel=1e-12)
+            assert (ir, ic) == (want[1], want[2])
 
     def test_tie_breaks_to_first_row_major_cell(self):
         # constant polynomial: every grid point attains the max at r=0 row
         coeffs = np.array([2.0 + 0.0j])
         r = np.linspace(0.0, 1.0, 7)
         chi = np.linspace(0.0, 2 * np.pi, 5, endpoint=False)
-        for impl in (kernels.poly_grid_max, kernels.poly_grid_max_numpy):
-            p, ir, ic = impl(coeffs, r, chi)
-            assert (ir, ic) == (0, 0)
-            assert p == pytest.approx(4.0)
+        p, ir, ic = kernels.poly_grid_max(coeffs, r, chi)
+        assert (ir, ic) == (0, 0)
+        assert p == pytest.approx(4.0)
 
     def test_normalization_power_follows_degree(self):
         # |v|^2 / (1+r^2): maximum on r in [0,1] sits at r = 1
@@ -108,19 +89,6 @@ class TestProductAscent:
             p, _, _ = kernels.product_ascent(psi, 4, f.copy(), 300, 1e-13)
             assert p >= before - 1e-12
 
-    def test_backends_agree(self):
-        if not kernels.HAS_NUMBA:
-            pytest.skip("numba backend not active")
-        rng = np.random.default_rng(5)
-        psi = rng.normal(size=16) + 1j * rng.normal(size=16)
-        psi /= np.linalg.norm(psi)
-        f = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-        f /= np.linalg.norm(f, axis=1, keepdims=True)
-        pa, sa, oka = kernels.product_ascent_numba(psi, 4, f.copy(), 300, 1e-13)
-        pb, sb, okb = kernels.product_ascent_numpy(psi, 4, f.copy(), 300, 1e-13)
-        assert oka == okb
-        assert pa == pytest.approx(pb, abs=1e-9)
-
     def test_unconverged_flag(self):
         rng = np.random.default_rng(6)
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -130,29 +98,3 @@ class TestProductAscent:
         p, sweeps, ok = kernels.product_ascent(psi, 3, f, 1, 0.0)
         assert not ok
         assert sweeps == 1
-
-
-class TestBackendSelection:
-    def test_backend_name_consistent(self):
-        assert kernels.backend() in ("numba", "numpy")
-        assert kernels.backend() == ("numba" if kernels.HAS_NUMBA else "numpy")
-
-    def test_env_flag_disables_numba(self):
-        code = (
-            "from grovergeo import kernels; "
-            "print(kernels.backend(), kernels.HAS_NUMBA)"
-        )
-        env = dict(os.environ, GROVERGEO_DISABLE_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0
-        assert out.stdout.split() == ["numpy", "False"]
-
-    def test_active_dispatch_points_at_backend(self):
-        if kernels.HAS_NUMBA:
-            assert kernels.poly_grid_max is kernels.poly_grid_max_numba
-            assert kernels.product_ascent is kernels.product_ascent_numba
-        else:
-            assert kernels.poly_grid_max is kernels.poly_grid_max_numpy
-            assert kernels.product_ascent is kernels.product_ascent_numpy

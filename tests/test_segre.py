@@ -12,6 +12,7 @@ from grovergeo import (
     segre_embed,
 )
 from grovergeo.errors import DimensionError, DomainError
+from grovergeo.segre import _rebuild_distance
 
 
 def _rand_ray(rng, dim):
@@ -146,6 +147,31 @@ class TestFullSeparability:
         factors[-1] = np.array([1e-13, 1.0])
         rep = is_fully_separable(Ray(_kron_chain(factors)), 3)
         assert rep.fully_separable
+
+    def test_accepts_twelve_qubit_product_near_fidelity_one(self):
+        # 70th draw: its rebuild is exact to ~1e-15, but 2*arccos|<a|b>|
+        # reads ~1e-7 there, above the 1e-8 rebuild threshold
+        rng = np.random.default_rng(0)
+        for _ in range(70):
+            f = rng.normal(size=(12, 2)) + 1j * rng.normal(size=(12, 2))
+            f /= np.linalg.norm(f, axis=1, keepdims=True)
+        psi = _kron_chain(list(f))
+        rep = is_fully_separable(Ray(psi / np.linalg.norm(psi)), 12)
+        assert rep.fully_separable
+        for want, got in zip(f, rep.factors):
+            assert fs_distance(Ray(want), got) < 1e-6
+
+    def test_rebuild_distance_resolves_near_zero(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=8) + 1j * rng.normal(size=8)
+        a /= np.linalg.norm(a)
+        b = rng.normal(size=8) + 1j * rng.normal(size=8)
+        assert _rebuild_distance(b, a) == pytest.approx(fs_distance(b, a), abs=1e-12)
+        # a unit-norm tilt by angle eps off a: the Fubini-Study distance is 2*eps
+        eps = 1e-12
+        w = b - np.vdot(a, b) * a
+        tilted = (np.cos(eps) * a + np.sin(eps) * w / np.linalg.norm(w)) * (2.0 - 1.0j)
+        assert _rebuild_distance(tilted, a) == pytest.approx(2.0 * eps, rel=1e-3)
 
     def test_validation(self):
         with pytest.raises(DimensionError):
