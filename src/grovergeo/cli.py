@@ -21,6 +21,7 @@ from .errors import ConvergenceError, GrovergeoError, SizeError
 from .grover_engine import (
     _MAX_QUBITS,
     SearchInstance,
+    _path_angle,
     grover_state,
     optimal_query_count,
     search_metrics,
@@ -85,8 +86,7 @@ def _check_n(n, lo, hi):
 
 
 def _angle_grid(n, points):
-    t_min = math.atan2(1.0, math.sqrt((1 << n) - 1))
-    return np.linspace(t_min, math.pi / 2.0, points)
+    return np.linspace(_path_angle(1 << n, 1.0), math.pi / 2.0, points)
 
 
 @click.group()
@@ -153,13 +153,10 @@ def entangle_sweep(n, points, method, seed, out):
     if method in ("oracle", "all"):
         config["resolution"] = _ORACLE_RESOLUTION
 
-    def level(t):
-        return ent.GroverPathPoint.from_angle(n, t).u
-
     if method == "all":
         rows = []
         for t in ts:
-            u = level(t)
+            u = ent.GroverPathPoint.from_angle(n, t).u
             rows.append(
                 (
                     t,
@@ -176,7 +173,7 @@ def entangle_sweep(n, points, method, seed, out):
     else:
         rows = []
         for t in ts:
-            u = level(t)
+            u = ent.GroverPathPoint.from_angle(n, t).u
             if method == "exact":
                 res = ent.entanglement_exact(n, u)
             elif method == "approx":

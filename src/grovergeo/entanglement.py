@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import kernels
 from .errors import (
@@ -31,7 +30,7 @@ from .errors import (
     DimensionError,
     DomainError,
 )
-from .grover_engine import _check_qubits
+from .grover_engine import _check_qubits, _path_angle, _path_level, _rotation_angle
 from .ray_space import Ray, UnitVector, _ascoords, canonical_form
 
 __all__ = [
@@ -61,6 +60,7 @@ __all__ = [
 
 _SYMMETRY_TOL = 1e-10
 _ASCENT_TOL = 1e-13
+_NEAR_REAL = 1e-6  # companion roots of a close real pair may split off the axis
 
 
 def _zeros_per_index(n: int) -> np.ndarray:
@@ -97,15 +97,12 @@ class GroverPathPoint:
         """
         _check_qubits(n)
         size = 1 << n
-        theta = 2.0 * math.asin(size**-0.5)
-        if not theta / 2.0 - 1e-12 <= t <= math.pi / 2.0 + 1e-12:
-            raise DomainError(
-                f"path angle {t!r} outside [{theta / 2.0!r}, {math.pi / 2.0!r}]"
-            )
-        t = min(max(t, theta / 2.0), math.pi / 2.0)
+        t_min = _rotation_angle(size) / 2.0
+        if not t_min - 1e-12 <= t <= math.pi / 2.0 + 1e-12:
+            raise DomainError(f"path angle {t!r} outside [{t_min!r}, {math.pi / 2.0!r}]")
+        t = min(max(t, t_min), math.pi / 2.0)
         # the angle range maps exactly onto u in [1, 0]; clip rounding spill
-        u = math.cos(t) / (math.sin(t) * math.sqrt(size - 1))
-        return cls(n, min(1.0, max(0.0, u)))
+        return cls(n, min(1.0, max(0.0, _path_level(size, t))))
 
     @property
     def size(self) -> int:
@@ -114,7 +111,7 @@ class GroverPathPoint:
     @property
     def angle(self) -> float:
         """Path angle ``t`` with sin(t)**2 the success probability."""
-        return math.atan2(1.0, self.u * math.sqrt(self.size - 1))
+        return _path_angle(self.size, self.u)
 
     @property
     def success_probability(self) -> float:
@@ -212,39 +209,47 @@ def stationary_parameter(n: int, r: float) -> float:
     return r / den
 
 
-def extremum_roots(n: int, u: float, grid_size: int = 4097) -> list[float]:
+def _stationarity(n: int, u: float, r: float) -> float:
+    """u[(1+r)^(n-1)(1-r) + r] - r at ``r``, in exact integer arithmetic rounded once."""
+    a, b = r.as_integer_ratio()
+    c, d = u.as_integer_ratio()
+    bn = b ** (n - 1)
+    return (c * ((b + a) ** (n - 1) * (b - a) + a * bn) - d * a * bn) / (d * bn * b)
+
+
+def extremum_roots(n: int, u: float) -> list[float]:
     """All radii r in [0, 1] stationary for the path state (n, u), sorted.
 
-    Brackets sign changes of ``stationary_parameter(n, r) - u`` on a fixed
-    grid and polishes each with Brent's method.
+    The stationarity condition u[(1+r)^(n-1)(1-r) + r] = r is a degree-n
+    polynomial in r.  Its exact (companion-matrix) roots near [0, 1] get a
+    Newton polish on the exactly evaluated polynomial and are kept where it
+    changes sign within one ulp, so no close root pair is missed.
     """
-    point = GroverPathPoint(n, u)
-    if grid_size < 3:
-        raise DomainError("grid_size must be at least 3")
-    rs = np.linspace(0.0, 1.0, grid_size)
-    h = np.array([stationary_parameter(n, r) for r in rs]) - point.u
+    u = GroverPathPoint(n, u).u
+    if u > 1.0:
+        return []  # u[(1+r)^(n-1)(1-r) + r] >= ur > r on (0, 1]
+    if u < np.finfo(float).tiny:
+        return [u]  # 1/u overflows the companion matrix; (1+u)^(n-1) rounds to 1
+    binomials = [math.comb(n - 1, k) for k in range(n)]  # of (1+r)^(n-1)
+    coeffs = u * np.polynomial.polynomial.polymul(binomials, [1.0, -1.0])
+    coeffs[1] += u - 1.0
     roots: list[float] = []
-    for i in range(grid_size - 1):
-        a, b = h[i], h[i + 1]
-        if a == 0.0:
-            roots.append(float(rs[i]))
-        elif a * b < 0.0:
-            roots.append(
-                float(
-                    brentq(
-                        lambda r: stationary_parameter(n, r) - point.u,
-                        rs[i],
-                        rs[i + 1],
-                        xtol=1e-14,
-                        rtol=8.9e-16,
-                    )
-                )
-            )
-    if h[-1] == 0.0:
-        roots.append(float(rs[-1]))
-    roots.sort()
+    for z in np.polynomial.polynomial.polyroots(coeffs):
+        r = float(z.real)
+        if abs(z.imag) > _NEAR_REAL or not -_NEAR_REAL <= r <= 1.0 + _NEAR_REAL:
+            continue
+        for _ in range(8):
+            slope = u * ((1.0 + r) ** (n - 2) * (n - 2 - n * r) + 1.0) - 1.0
+            if slope == 0.0:
+                break
+            r = min(1.0, max(0.0, r - _stationarity(n, u, r) / slope))
+        # a near-real complex pair or a root beyond [0, 1] has no sign change
+        ulp_box = (max(0.0, math.nextafter(r, 0.0)), r, min(1.0, math.nextafter(r, 1.0)))
+        values = [_stationarity(n, u, x) for x in ulp_box]
+        if min(values) <= 0.0 <= max(values):
+            roots.append(r)
     out: list[float] = []
-    for r in roots:  # collapse duplicates from gridpoint hits
+    for r in sorted(roots):  # collapse a root pair that polished onto one point
         if not out or r - out[-1] > 1e-9:
             out.append(r)
     return out
@@ -314,8 +319,7 @@ def entanglement_approx(n: int, u: float) -> EntanglementResult:
 def half_way_angle(n: int) -> float:
     """Path angle halfway along the search, (pi + rotation angle) / 4."""
     _check_qubits(n)
-    theta = 2.0 * math.asin((1 << n) ** -0.5)
-    return (math.pi + theta) / 4.0
+    return (math.pi + _rotation_angle(1 << n)) / 4.0
 
 
 def entanglement_approx_curve(n: int, t: float) -> EntanglementResult:
@@ -325,17 +329,11 @@ def entanglement_approx_curve(n: int, t: float) -> EntanglementResult:
     halfway angle, where the level is small) and reflected about the
     halfway angle for the early half.
     """
-    _check_qubits(n)
-    theta = 2.0 * math.asin((1 << n) ** -0.5)
-    if not theta / 2.0 - 1e-12 <= t <= math.pi / 2.0 + 1e-12:
-        raise DomainError(
-            f"path angle {t!r} outside [{theta / 2.0!r}, {math.pi / 2.0!r}]"
-        )
+    GroverPathPoint.from_angle(n, t)  # validates n and t
     t_half = half_way_angle(n)
-    tt = t if t >= t_half else 2.0 * t_half - t
-    tt = min(tt, math.pi / 2.0)
-    u = math.cos(tt) / (math.sin(tt) * math.sqrt((1 << n) - 1))
-    return entanglement_approx(n, max(0.0, u))
+    if t < t_half:
+        t = 2.0 * t_half - t
+    return entanglement_approx(n, GroverPathPoint.from_angle(n, min(t, math.pi / 2.0)).u)
 
 
 def triangle_envelope(t: float) -> float:

@@ -9,6 +9,7 @@ state, where the step angle is set by the start state's target overlap.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,22 @@ def _check_qubits(n: int) -> int:
     return n
 
 
+# Conversions between the rotation angle per query, the path angle t (success
+# probability sin(t)**2) and the unmarked level u; u = 1 starts the path.
+
+
+def _rotation_angle(size: int) -> float:
+    return 2.0 * math.asin(size**-0.5)
+
+
+def _path_angle(size: int, u: float) -> float:
+    return math.atan2(1.0, u * math.sqrt(size - 1))
+
+
+def _path_level(size: int, t: float) -> float:
+    return math.cos(t) / (math.sin(t) * math.sqrt(size - 1))
+
+
 @dataclass(frozen=True)
 class SearchInstance:
     """An unstructured search problem: n qubits, one marked basis state."""
@@ -65,7 +82,7 @@ class SearchInstance:
     @property
     def rotation_angle(self) -> float:
         """Angle advanced per query; its half-angle sine is 1/sqrt(size)."""
-        return 2.0 * np.arcsin(self.size**-0.5)
+        return _rotation_angle(self.size)
 
 
 @dataclass(frozen=True)
@@ -139,7 +156,7 @@ def optimal_query_count(N: int) -> int:
     N = int(N)
     if N < 4:
         raise SizeError(f"search space size {N} must be >= 4")
-    theta = 2.0 * np.arcsin(N**-0.5)
+    theta = _rotation_angle(N)
     k0 = round(np.pi / (2.0 * theta) - 0.5)
     candidates = sorted({max(k0 - 1, 0), max(k0, 0), k0 + 1})
     scores = [np.sin((k + 0.5) * theta) ** 2 for k in candidates]
@@ -269,7 +286,7 @@ def fourier_state(n: int, p: int) -> UnitVector:
     size = 1 << n
     p = int(p)
     if not 0 <= p < size:
-        raise IndexError(f"frequency {p} outside [0, {size})")
+        raise DomainError(f"frequency {p} outside [0, {size})")
     x = np.arange(size)
     out = np.exp(2j * np.pi * p * x / size) / np.sqrt(size)
     return UnitVector(out / np.linalg.norm(out))

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import grovergeo
 from grovergeo import __version__
 from grovergeo.cli import main
 from grovergeo.errors import ConvergenceError
@@ -296,3 +301,17 @@ class TestSeparability:
         _, _, rows = parse_csv(res.stdout)
         assert float(rows[0][0]) == pytest.approx(math.pi / 6.0, abs=1e-12)
         assert float(rows[-1][0]) == pytest.approx(math.pi / 2.0, abs=1e-12)
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so modules other tests imported do not count
+    src = str(Path(grovergeo.__file__).resolve().parents[1])
+    code = "import sys, grovergeo.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grovergeo import (
     CoherentProduct,
@@ -155,9 +157,58 @@ class TestStationaryStructure:
 
     def test_extremum_roots_validation(self):
         with pytest.raises(DomainError):
-            extremum_roots(3, 0.5, grid_size=2)
-        with pytest.raises(DomainError):
             stationary_parameter(3, 1.5)
+
+    def test_extreme_levels(self):
+        for n in (1, 7, 24):
+            # u[(1+r)^(n-1)(1-r) + r] >= ur > r on (0, 1] once u > 1
+            for u in (np.nextafter(1.0, 2.0), 3.0, 1e308):
+                assert extremum_roots(n, u) == []
+            assert extremum_roots(n, 1.0) == [1.0]
+            # below the smallest normal float the root is u itself
+            assert extremum_roots(n, 5e-324) == [5e-324]
+            assert extremum_roots(n, 0.0) == [0.0]
+
+    def test_close_root_pair_at_fold_edge(self):
+        # the two lower roots lie 1.3e-4 apart: a sign-change scan on a grid
+        # coarser than that sees neither
+        u = 0.08171729570489242
+        roots = extremum_roots(7, u)
+        assert len(roots) == 3
+        assert roots[1] - roots[0] == pytest.approx(1.333e-4, rel=1e-3)
+        for r in roots:
+            assert stationary_parameter(7, r) == pytest.approx(u, abs=1e-10)
+        assert entanglement_exact(7, u).root_count == 3
+
+
+_PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+class TestExactRouteProperties:
+    @_PROPERTY_SETTINGS
+    @given(n=st.integers(2, 24), u=st.floats(0.0, 1.0))
+    def test_roots_sorted_distinct_and_inverting(self, n, u):
+        roots = extremum_roots(n, u)
+        assert roots
+        assert all(0.0 <= r <= 1.0 for r in roots)
+        assert all(b > a for a, b in zip(roots, roots[1:]))
+        for r in roots:
+            # near r = 1 the level moves by more than 1e-10 per ulp of r, so
+            # ask for u to be attained within one ulp of each root
+            lo = stationary_parameter(n, float(np.nextafter(r, 0.0)))
+            hi = stationary_parameter(n, min(1.0, float(np.nextafter(r, 1.0))))
+            assert min(lo, hi) - 1e-10 <= u <= max(lo, hi) + 1e-10
+
+    @_PROPERTY_SETTINGS
+    @given(n=st.integers(2, 24), u=st.floats(0.0, 1.0), r=st.floats(0.0, 1.0))
+    def test_rootfind_overlap_is_the_best(self, n, u, r):
+        # the closed-form overlap rounds to about n ulps near its maximum
+        tol = 4 * n * np.finfo(float).eps
+        best = np.cos(entanglement_exact(n, u).value / 2.0) ** 2
+        assert best >= coherent_overlap(n, u, r) - tol
+        if (n - 1) * u < 1.0:
+            approx = np.cos(entanglement_approx(n, u).value / 2.0) ** 2
+            assert best >= approx - tol
 
 
 class TestExactTwoQubit:

@@ -234,7 +234,7 @@ class TestFourierStates:
         )
 
     def test_frequency_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(DomainError):
             fourier_state(3, 8)
-        with pytest.raises(IndexError):
+        with pytest.raises(DomainError):
             fourier_state(3, -1)
