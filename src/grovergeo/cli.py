@@ -21,6 +21,7 @@ from .errors import ConvergenceError, GrovergeoError, SizeError
 from .grover_engine import (
     _MAX_QUBITS,
     SearchInstance,
+    _basis_state,
     _path_angle,
     grover_state,
     optimal_query_count,
@@ -109,11 +110,12 @@ def grover_trace(n, target, kmax, out):
         kmax = optimal_query_count(inst.size)
     if kmax < 0:
         raise click.UsageError(f"kmax must be >= 0, got {kmax}")
-    target_ray = Ray(np.eye(inst.size, dtype=np.complex128)[target])
+    target_ray = Ray(_basis_state(inst.size, target))
     rows = []
+    following = grover_state(inst, 0)
     for k in range(kmax + 1):
-        state = grover_state(inst, k)
-        step = fs_distance(state, grover_state(inst, k + 1))
+        state, following = following, grover_state(inst, k + 1)
+        step = fs_distance(state, following)
         residual = max_quadric_residual(state, inst.size // 2 - 1, 1)
         rows.append(
             (k, success_probability(inst, k), fs_distance(state, target_ray), step, residual)

@@ -60,6 +60,8 @@ __all__ = [
 
 _SYMMETRY_TOL = 1e-10
 _ASCENT_TOL = 1e-13
+_ASCENT_STARTS = 32  # random starts, beside the uniform and the greedy one
+_ASCENT_MAX_SWEEPS = 500
 _NEAR_REAL = 1e-6  # companion roots of a close real pair may split off the axis
 
 
@@ -377,8 +379,6 @@ def closest_product_overlap(
     n: int,
     resolution: int = 2048,
     seed: int = 0,
-    starts: int = 32,
-    max_sweeps: int = 500,
 ):
     """Best squared overlap of ``state`` with any n-qubit product state.
 
@@ -425,8 +425,8 @@ def closest_product_overlap(
 
     rng = np.random.default_rng(seed)
     best = -1.0
-    converged = False
-    for k in range(starts + 2):
+    best_unconverged = -1.0
+    for k in range(_ASCENT_STARTS + 2):
         if k == 0:
             f = np.full((n, 2), 1.0 / math.sqrt(2.0), dtype=np.complex128)
         elif k == 1:
@@ -438,14 +438,16 @@ def closest_product_overlap(
         else:
             f = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
             f /= np.linalg.norm(f, axis=1, keepdims=True)
-        p, _, ok = kernels.product_ascent(psi, n, f, max_sweeps, _ASCENT_TOL)
+        p, _, ok = kernels.product_ascent(psi, n, f, _ASCENT_MAX_SWEEPS, _ASCENT_TOL)
         if ok:
-            converged = True
-            if p > best:
-                best = p
-    if not converged:
+            best = max(best, p)
+        else:
+            best_unconverged = max(best_unconverged, p)
+    if best < 0.0:
         raise ConvergenceError(
-            f"product-state ascent failed to converge in {max_sweeps} sweeps"
+            f"product-state ascent on n={n} qubits: none of {_ASCENT_STARTS + 2} "
+            f"starts converged in {_ASCENT_MAX_SWEEPS} sweeps; best unconverged "
+            f"overlap {best_unconverged:.17g}"
         )
     return min(1.0, best), math.nan, math.nan, False
 

@@ -50,28 +50,27 @@ def product_ascent(psi, n, factors, max_sweeps, tol):
     ``factors`` is an (n, 2) complex array updated in place; qubit j of
     basis index x is bit (n-1-j).  Each qubit update is exact: the factor
     is set parallel to its environment vector, which cannot decrease the
-    overlap.  Returns (overlap^2, sweeps used, converged flag); converged
-    means the gain of a full sweep fell to ``tol`` or below.
+    overlap.  A sweep updates qubits 0..n-1 in turn, contracting psi with
+    cached environments of the other factors: O(N) work per sweep.
+    Returns (overlap^2, sweeps used, converged flag); converged means the
+    gain of a full sweep fell to ``tol`` or below.
     """
     psi = np.ascontiguousarray(psi, dtype=np.complex128)
-    size = psi.size
-    bits = (np.arange(size)[:, None] >> (n - 1 - np.arange(n))[None, :]) & 1
     last = -1.0
     nrm2 = 0.0
     for sweep in range(max_sweeps):
+        right = [psi]
+        for j in range(n - 1, 0, -1):
+            right.append(right[-1].reshape(-1, 2) @ factors[j].conj())
+        left = np.ones(1, dtype=np.complex128)
         for i in range(n):
-            wgt = psi.copy()
-            for j in range(n):
-                if j != i:
-                    wgt *= np.conj(factors[j, bits[:, j]])
-            on = bits[:, i] == 1
-            t0 = wgt[~on].sum()
-            t1 = wgt[on].sum()
+            t0, t1 = left @ right[n - 1 - i].reshape(-1, 2)
             nrm2 = t0.real**2 + t0.imag**2 + t1.real**2 + t1.imag**2
             nrm = math.sqrt(nrm2)
             if nrm > 0.0:
                 factors[i, 0] = t0 / nrm
                 factors[i, 1] = t1 / nrm
+            left = np.outer(left, factors[i].conj()).ravel()
         if abs(nrm2 - last) <= tol:
             return nrm2, sweep + 1, True
         last = nrm2

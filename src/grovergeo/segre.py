@@ -98,14 +98,22 @@ def quadric_system(m: int, m_prime: int) -> QuadricSystem:
 
 
 def _max_minor_residual(matrix: np.ndarray) -> float:
-    """Largest |2x2 minor| of a complex matrix, via pairwise column outers."""
+    """Largest |2x2 minor| of a complex matrix, via pairwise column outers.
+
+    The outers are taken in blocks of rows, about a million entries each,
+    so memory stays linear in the matrix size.
+    """
     rows, cols = matrix.shape
+    chunk = max(1, 1_000_000 // rows)
     worst = 0.0
     for k in range(cols):
+        a = matrix[:, k]
         for l in range(k + 1, cols):
-            outer = np.outer(matrix[:, k], matrix[:, l])
-            minors = outer - outer.T  # entry (i,j): z_ik z_jl - z_il z_jk
-            worst = max(worst, float(np.abs(minors).max()))
+            b = matrix[:, l]
+            for s in range(0, rows, chunk):
+                # entry (i,j): z_ik z_jl - z_il z_jk, each product as in the full outer
+                minors = np.outer(a[s : s + chunk], b) - np.outer(a, b[s : s + chunk]).T
+                worst = max(worst, float(np.abs(minors).max()))
     return worst
 
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +122,17 @@ class TestGroverTrace:
         assert len(rows) == 4
         best = max(float(r[1]) for r in rows)
         assert best == pytest.approx(0.9613189697265625, abs=1e-12)
+
+    def test_memory_linear_in_state_size(self, runner):
+        # an N x N identity for the target ray alone would take 256 MiB here
+        tracemalloc.start()
+        try:
+            res = runner.invoke(main, ["grover-trace", "--n", "12", "--kmax", "0"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.exit_code == 0
+        assert peak < 96 * 2**20
 
     def test_qubit_cap(self, runner):
         res = runner.invoke(main, ["grover-trace", "--n", "21"])

@@ -425,9 +425,29 @@ class TestOracle:
         monkeypatch.setattr(kernels, "product_ascent", never_converges)
         rng = np.random.default_rng(4)
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError) as info:
             closest_product_overlap(psi, 3)
         assert len(calls) == 34  # 32 random + 2 deterministic starts
+        message = str(info.value)
+        assert "n=3" in message and "34" in message and "500" in message
+        assert "0.5" in message
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
+    def test_general_branch_beats_sampled_products(self, n, seed):
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        p, _, _, symmetric = closest_product_overlap(psi, n)
+        assert not symmetric
+        assert p <= 1.0
+        for _ in range(16):
+            f = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+            f /= np.linalg.norm(f, axis=1, keepdims=True)
+            prod = f[0]
+            for row in f[1:]:
+                prod = np.kron(prod, row)
+            assert p >= abs(np.vdot(prod, psi)) ** 2 - 1e-12
 
     def test_validation(self):
         with pytest.raises(DimensionError):

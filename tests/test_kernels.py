@@ -14,11 +14,15 @@ def _brute_grid_max(coeffs, r_grid, chi_grid):
     return p.flat[flat], flat // chi_grid.size, flat % chi_grid.size
 
 
-def _literal_product_overlap(psi, n, factors):
-    prod = factors[0]
-    for row in factors[1:]:
+def _kron_rows(rows):
+    prod = rows[0]
+    for row in rows[1:]:
         prod = np.kron(prod, row)
-    return abs(np.vdot(prod, psi)) ** 2
+    return prod
+
+
+def _literal_product_overlap(psi, n, factors):
+    return abs(np.vdot(_kron_rows(factors), psi)) ** 2
 
 
 class TestPolyGridMax:
@@ -55,7 +59,7 @@ class TestPolyGridMax:
 class TestProductAscent:
     def test_recovers_product_states(self):
         rng = np.random.default_rng(2)
-        for n in [2, 3, 5]:
+        for n in [2, 3, 5, 12]:
             f = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
             psi = f[0]
             for row in f[1:]:
@@ -88,6 +92,27 @@ class TestProductAscent:
             before = _literal_product_overlap(psi, 4, f)
             p, _, _ = kernels.product_ascent(psi, 4, f.copy(), 300, 1e-13)
             assert p >= before - 1e-12
+
+    def test_one_sweep_is_literal_gauss_seidel(self):
+        # qubit i is set parallel to <e_b|psi>, e_b the kron of the other
+        # factors with |b> at i: qubits before i already updated, after not
+        rng = np.random.default_rng(7)
+        n = 5
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        psi /= np.linalg.norm(psi)
+        f = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        f /= np.linalg.norm(f, axis=1, keepdims=True)
+        want = f.copy()
+        for i in range(n):
+            env = [
+                np.vdot(_kron_rows([*want[:i], np.eye(2)[b], *want[i + 1 :]]), psi)
+                for b in (0, 1)
+            ]
+            want[i] = env / np.linalg.norm(env)
+        p, sweeps, _ = kernels.product_ascent(psi, n, f, 1, 0.0)
+        assert sweeps == 1
+        np.testing.assert_allclose(f, want, rtol=0, atol=1e-12)
+        assert p == pytest.approx(_literal_product_overlap(psi, n, want), abs=1e-12)
 
     def test_unconverged_flag(self):
         rng = np.random.default_rng(6)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grovergeo import (
     Ray,
@@ -12,7 +16,7 @@ from grovergeo import (
     segre_embed,
 )
 from grovergeo.errors import DimensionError, DomainError
-from grovergeo.segre import _rebuild_distance
+from grovergeo.segre import _max_minor_residual, _rebuild_distance
 
 
 def _rand_ray(rng, dim):
@@ -95,6 +99,19 @@ class TestEmbedResidual:
         with pytest.raises(DimensionError):
             max_quadric_residual(Ray(np.ones(6)), 1, 1)
 
+    @pytest.mark.parametrize("rows,cols", [(1001, 2), (1500, 3), (2000, 2)])
+    def test_row_blocks_match_full_outer_exactly(self, rows, cols):
+        # these sizes span two to four blocks of the residual's row chunking
+        rng = np.random.default_rng(rows)
+        m = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        m = np.outer(m[:, 0], m[0]) + 1e-9 * m  # near-product: minors cancel
+        want = 0.0
+        for k in range(cols):
+            for l in range(k + 1, cols):
+                outer = np.outer(m[:, k], m[:, l])
+                want = max(want, float(np.abs(outer - outer.T).max()))
+        assert _max_minor_residual(m) == want
+
 
 class TestFullSeparability:
     def test_accepts_products_and_recovers_factors(self):
@@ -107,6 +124,27 @@ class TestFullSeparability:
             assert len(rep.factors) == n
             for want, got in zip(factors, rep.factors):
                 assert fs_distance(Ray(want), got) < 1e-6
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        angles=st.lists(
+            st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_accepts_random_products_and_rebuilds_them(self, angles):
+        # one Bloch-sphere point per qubit, basis states included
+        factors = [
+            np.array([math.cos(th / 2.0), np.exp(1j * ph) * math.sin(th / 2.0)])
+            for th, ph in angles
+        ]
+        psi = _kron_chain(factors)
+        rep = is_fully_separable(Ray(psi), len(factors))
+        assert rep.fully_separable
+        rebuilt = _kron_chain([f.coords for f in rep.factors])
+        fidelity = abs(np.vdot(rebuilt / np.linalg.norm(rebuilt), psi)) ** 2
+        assert fidelity >= 1.0 - 1e-12
 
     def test_factor_order_most_significant_first(self):
         up = np.array([1.0, 0.0])
