@@ -4,152 +4,25 @@ Rays in complex projective space, Fubini-Study distances and geodesics,
 Grover dynamics as motion along a geodesic, quadric separability
 certificates, and a geometric entanglement measure with exact,
 approximate, and brute-force routes.
+
+Each module declares its public names in its own ``__all__``; the package
+re-exports them all.
 """
 
 __version__ = "0.1.0"
 
-from .entanglement import (
-    CoherentProduct,
-    EntanglementResult,
-    GroverPathPoint,
-    coherent_overlap,
-    concurrence,
-    concurrence_along_path,
-    concurrence_from_quadric,
-    critical_qubit_number,
-    closest_product_overlap,
-    entanglement_approx,
-    entanglement_approx_curve,
-    entanglement_exact,
-    entanglement_exact_2q,
-    entanglement_grid_oracle,
-    extremum_roots,
-    grover_path_ray,
-    half_way_angle,
-    pair_entropy_from_concurrence,
-    partial_entropy,
-    reduced_density_2q,
-    stationary_parameter,
-    triangle_envelope,
-)
-from .errors import (
-    ApproxDomainError,
-    ChartUndefined,
-    ConvergenceError,
-    DegenerateKernel,
-    DimensionError,
-    DomainError,
-    GeodesicBasisError,
-    GrovergeoError,
-    InsufficientSamples,
-    InvalidRay,
-    SizeError,
-    TangentError,
-    UnreachableTarget,
-)
-from .grover_engine import (
-    GeodesicKernelParams,
-    SearchInstance,
-    SearchMetrics,
-    average_state,
-    fourier_state,
-    generalized_state,
-    grover_state,
-    optimal_query_count,
-    search_metrics,
-    success_probability,
-    worst_case_time,
-)
-from .ray_space import (
-    InhomogeneousChart,
-    Ray,
-    UnitVector,
-    canonical_form,
-    fs_distance,
-    fs_line_element,
-    geodesic_point,
-    horizontality_residual,
-    inhomogeneous,
-    transition_probability,
-)
-from .segre import (
-    QuadricSystem,
-    SeparabilityReport,
-    grover_separability_residual,
-    is_fully_separable,
-    max_quadric_residual,
-    quadric_system,
-    segre_embed,
-)
+from . import entanglement, errors, grover_engine, ray_space, segre
+from .entanglement import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .grover_engine import *  # noqa: F401,F403
+from .ray_space import *  # noqa: F401,F403
+from .segre import *  # noqa: F401,F403
 
 __all__ = [
     "__version__",
-    # ray space
-    "Ray",
-    "UnitVector",
-    "InhomogeneousChart",
-    "canonical_form",
-    "inhomogeneous",
-    "transition_probability",
-    "fs_distance",
-    "geodesic_point",
-    "horizontality_residual",
-    "fs_line_element",
-    # search dynamics
-    "SearchInstance",
-    "SearchMetrics",
-    "GeodesicKernelParams",
-    "average_state",
-    "grover_state",
-    "success_probability",
-    "optimal_query_count",
-    "generalized_state",
-    "search_metrics",
-    "worst_case_time",
-    "fourier_state",
-    # separability
-    "QuadricSystem",
-    "SeparabilityReport",
-    "segre_embed",
-    "quadric_system",
-    "max_quadric_residual",
-    "is_fully_separable",
-    "grover_separability_residual",
-    # entanglement
-    "GroverPathPoint",
-    "CoherentProduct",
-    "EntanglementResult",
-    "grover_path_ray",
-    "coherent_overlap",
-    "stationary_parameter",
-    "extremum_roots",
-    "entanglement_exact_2q",
-    "entanglement_exact",
-    "entanglement_approx",
-    "entanglement_approx_curve",
-    "entanglement_grid_oracle",
-    "closest_product_overlap",
-    "half_way_angle",
-    "triangle_envelope",
-    "critical_qubit_number",
-    "reduced_density_2q",
-    "concurrence",
-    "concurrence_from_quadric",
-    "concurrence_along_path",
-    "pair_entropy_from_concurrence",
-    "partial_entropy",
-    # errors
-    "GrovergeoError",
-    "InvalidRay",
-    "ChartUndefined",
-    "DimensionError",
-    "GeodesicBasisError",
-    "InsufficientSamples",
-    "TangentError",
-    "SizeError",
-    "DegenerateKernel",
-    "DomainError",
-    "UnreachableTarget",
-    "ApproxDomainError",
-    "ConvergenceError",
+    *ray_space.__all__,
+    *grover_engine.__all__,
+    *segre.__all__,
+    *entanglement.__all__,
+    *errors.__all__,
 ]

@@ -155,41 +155,31 @@ def entangle_sweep(n, points, method, seed, out):
     if method in ("oracle", "all"):
         config["resolution"] = _ORACLE_RESOLUTION
 
+    # looked up through ``ent`` at call time, so wrappers installed on the module are seen
+    routes = {
+        "exact": lambda t, u: ent.entanglement_exact(n, u),
+        "approx": lambda t, u: ent.entanglement_approx_curve(n, t),
+        "oracle": lambda t, u: ent.entanglement_grid_oracle(
+            ent.grover_path_ray(n, u), n, resolution=_ORACLE_RESOLUTION, seed=seed
+        ),
+    }
     if method == "all":
-        rows = []
-        for t in ts:
-            u = ent.GroverPathPoint.from_angle(n, t).u
-            rows.append(
-                (
-                    t,
-                    u,
-                    ent.entanglement_exact(n, u).value,
-                    ent.entanglement_approx_curve(n, t).value,
-                    ent.entanglement_grid_oracle(
-                        ent.grover_path_ray(n, u), n, resolution=_ORACLE_RESOLUTION, seed=seed
-                    ).value,
-                )
-            )
-        columns = ["t", "u", "E_exact", "E_approx", "E_oracle"]
-        units = "t radians; u dimensionless; E_exact radians; E_approx radians; E_oracle radians"
+        names = list(routes)
+        fields = lambda res: (res.value,)
+        columns = ["t", "u"] + [f"E_{name}" for name in names]
+        units = "t radians; u dimensionless; " + "; ".join(f"E_{name} radians" for name in names)
     else:
-        rows = []
-        for t in ts:
-            u = ent.GroverPathPoint.from_angle(n, t).u
-            if method == "exact":
-                res = ent.entanglement_exact(n, u)
-            elif method == "approx":
-                res = ent.entanglement_approx_curve(n, t)
-            else:
-                res = ent.entanglement_grid_oracle(
-                    ent.grover_path_ray(n, u), n, resolution=_ORACLE_RESOLUTION, seed=seed
-                )
-            rows.append((t, u, res.value, res.r_star, res.chi_star, res.root_count))
+        names = [method]
+        fields = lambda res: (res.value, res.r_star, res.chi_star, res.root_count)
         columns = ["t", "u", "E", "r_star", "chi_star", "root_count"]
         units = (
             "t radians; u dimensionless; E radians; r_star dimensionless; "
             "chi_star radians; root_count count"
         )
+    rows = []
+    for t in ts:
+        u = ent.GroverPathPoint.from_angle(n, t).u
+        rows.append((t, u, *(v for name in names for v in fields(routes[name](t, u)))))
     _write_csv(out, "entangle-sweep", config, units, columns, rows)
 
 

@@ -31,7 +31,8 @@ from .errors import (
     DomainError,
 )
 from .grover_engine import _check_qubits, _path_angle, _path_level, _rotation_angle
-from .ray_space import Ray, UnitVector, _ascoords, canonical_form
+from .ray_space import Ray, UnitVector, _ascoords
+from .segre import max_quadric_residual
 
 __all__ = [
     "GroverPathPoint",
@@ -351,12 +352,6 @@ def critical_qubit_number() -> float:
     return 4.0 + 2.0 * math.sqrt(2.0)
 
 
-def _class_coefficients(psi: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
-    coeffs = np.zeros(n + 1, dtype=np.complex128)
-    np.add.at(coeffs, counts, np.conj(psi))
-    return coeffs
-
-
 def _symmetric_chart_max(coeffs, resolution):
     r_grid = np.linspace(0.0, 1.0, resolution)
     chi_grid = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
@@ -412,11 +407,11 @@ def closest_product_overlap(
 
     if sym:
         # chart 1: per-qubit (v, 1), amplitude v^zeros(x)
-        a = _class_coefficients(psi, zeros, n)
+        a = np.zeros(n + 1, dtype=np.complex128)
+        np.add.at(a, zeros, np.conj(psi))
         p1, r1, c1 = _symmetric_chart_max(a, resolution)
-        # chart 2: per-qubit (1, s), amplitude s^ones(x); v = 1/s
-        b = _class_coefficients(psi, n - zeros, n)
-        p2, r2, c2 = _symmetric_chart_max(b, resolution)
+        # chart 2: per-qubit (1, s), amplitude s^ones(x) with ones(x) = n - zeros(x); v = 1/s
+        p2, r2, c2 = _symmetric_chart_max(a[::-1], resolution)
         if p1 >= p2:
             return min(1.0, p1), r1, c1, True
         r_star = math.inf if r2 == 0.0 else 1.0 / r2
@@ -506,14 +501,11 @@ def concurrence(state) -> float:
 def concurrence_from_quadric(r) -> float:
     """Concurrence as twice the separability minor |z0 z3 - z1 z2|.
 
-    Same number as :func:`concurrence`, but computed from the canonical ray
-    coordinates, which ties the pairwise measure to the quadric residual.
+    Same number as :func:`concurrence`, but computed as twice the (1, 1)
+    quadric residual of the canonical ray, which ties the pairwise measure
+    to the separability certificate.
     """
-    ray = canonical_form(r if isinstance(r, Ray) else Ray(np.asarray(r)))
-    z = ray.coords
-    if z.size != 4:
-        raise DimensionError(f"expected a 4-component ray, got size {z.size}")
-    return float(2.0 * abs(z[0] * z[3] - z[1] * z[2]))
+    return 2.0 * max_quadric_residual(r if isinstance(r, Ray) else Ray(r), 1, 1)
 
 
 def concurrence_along_path(u: float) -> float:

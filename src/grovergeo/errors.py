@@ -1,5 +1,21 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "GrovergeoError",
+    "InvalidRay",
+    "ChartUndefined",
+    "DimensionError",
+    "GeodesicBasisError",
+    "InsufficientSamples",
+    "TangentError",
+    "SizeError",
+    "DegenerateKernel",
+    "DomainError",
+    "UnreachableTarget",
+    "ApproxDomainError",
+    "ConvergenceError",
+]
+
 
 class GrovergeoError(Exception):
     """Base class for all package-specific errors."""

@@ -45,17 +45,14 @@ class QuadricSystem:
 
     def evaluate(self, coords) -> np.ndarray:
         """Constraint polynomial values on the given coordinates, in order."""
-        z = _ascoords(coords)
-        width = self.m_prime + 1
-        if z.size != (self.m + 1) * width:
-            raise DimensionError(
-                f"coordinates of length {z.size} do not fill a "
-                f"{self.m + 1}x{width} matrix"
-            )
-        out = np.empty(self.count, dtype=complex)
-        for idx, (i, j, k, l) in enumerate(self.constraints):
-            out[idx] = z[width * i + k] * z[width * j + l] - z[width * i + l] * z[width * j + k]
-        return out
+        matrix = _coordinate_matrix(_ascoords(coords), self.m, self.m_prime)
+        rows = self.m + 1
+        # the i < j entries of each block, column pair by column pair; the
+        # transpose puts (i, j) outermost, as in the constraint order
+        values = np.concatenate(
+            [block[np.triu_indices(len(block), s + 1, rows)] for s, block in _minor_blocks(matrix)]
+        )
+        return values.reshape(-1, rows * self.m // 2).T.ravel()
 
 
 @dataclass(frozen=True)
@@ -84,9 +81,7 @@ def quadric_system(m: int, m_prime: int) -> QuadricSystem:
     Quadruples are emitted in ascending lexicographic (i, j, k, l) order;
     there are exactly m(m+1) m'(m'+1)/4 of them.
     """
-    m, m_prime = int(m), int(m_prime)
-    if m < 1 or m_prime < 1:
-        raise DomainError("both factor dimensions must be at least 2 (m, m' >= 1)")
+    m, m_prime = _check_split(m, m_prime)
     quads = tuple(
         (i, j, k, l)
         for i in range(m + 1)
@@ -97,23 +92,46 @@ def quadric_system(m: int, m_prime: int) -> QuadricSystem:
     return QuadricSystem(m=m, m_prime=m_prime, constraints=quads)
 
 
-def _max_minor_residual(matrix: np.ndarray) -> float:
-    """Largest |2x2 minor| of a complex matrix, via pairwise column outers.
+def _check_split(m, m_prime) -> tuple[int, int]:
+    m, m_prime = int(m), int(m_prime)
+    if m < 1 or m_prime < 1:
+        raise DomainError("both factor dimensions must be at least 2 (m, m' >= 1)")
+    return m, m_prime
 
-    The outers are taken in blocks of rows, about a million entries each,
-    so memory stays linear in the matrix size.
+
+def _coordinate_matrix(z: np.ndarray, m, m_prime) -> np.ndarray:
+    """The (m+1) x (m'+1) coordinate matrix of a flat coordinate vector."""
+    m, m_prime = _check_split(m, m_prime)
+    if z.size != (m + 1) * (m_prime + 1):
+        raise DimensionError(
+            f"coordinates of length {z.size} do not fill a {m + 1}x{m_prime + 1} matrix"
+        )
+    return z.reshape(m + 1, m_prime + 1)
+
+
+def _minor_blocks(matrix: np.ndarray):
+    """Yield ``(s, block)``: all 2x2 minors of a complex matrix, in row blocks.
+
+    Column pairs k < l come in lexicographic order, each as consecutive
+    blocks of about a million entries, so memory stays linear in the matrix
+    size.  Entry (r, j) of a block is the minor of rows (s + r, j):
+    z[s+r, k] z[j, l] - z[s+r, l] z[j, k].
     """
     rows, cols = matrix.shape
     chunk = max(1, 1_000_000 // rows)
-    worst = 0.0
     for k in range(cols):
         a = matrix[:, k]
         for l in range(k + 1, cols):
             b = matrix[:, l]
             for s in range(0, rows, chunk):
-                # entry (i,j): z_ik z_jl - z_il z_jk, each product as in the full outer
-                minors = np.outer(a[s : s + chunk], b) - np.outer(a, b[s : s + chunk]).T
-                worst = max(worst, float(np.abs(minors).max()))
+                yield s, np.outer(a[s : s + chunk], b) - np.outer(a, b[s : s + chunk]).T
+
+
+def _max_minor_residual(matrix: np.ndarray) -> float:
+    """Largest |2x2 minor| of a complex matrix."""
+    worst = 0.0
+    for _, block in _minor_blocks(matrix):
+        worst = max(worst, float(np.abs(block).max()))
     return worst
 
 
@@ -138,13 +156,7 @@ def max_quadric_residual(r: Ray, m: int, m_prime: int) -> float:
     Evaluated on the unit-norm canonical form so the residual is scale
     free; it vanishes exactly on bipartite-separable rays for that split.
     """
-    m, m_prime = int(m), int(m_prime)
-    z = canonical_form(r).coords
-    if z.size != (m + 1) * (m_prime + 1):
-        raise DimensionError(
-            f"ray dimension {z.size} != ({m}+1)*({m_prime}+1)"
-        )
-    return _max_minor_residual(z.reshape(m + 1, m_prime + 1))
+    return _max_minor_residual(_coordinate_matrix(canonical_form(r).coords, m, m_prime))
 
 
 def is_fully_separable(r: Ray, n: int, tol: float = 1e-9) -> SeparabilityReport:

@@ -517,6 +517,8 @@ class TestPairwiseMeasures:
         with pytest.raises(DimensionError):
             concurrence(np.ones(8))
         with pytest.raises(DimensionError):
+            concurrence_from_quadric(np.ones(8))
+        with pytest.raises(DimensionError):
             reduced_density_2q(np.ones(8))
         with pytest.raises(DomainError):
             pair_entropy_from_concurrence(1.5)

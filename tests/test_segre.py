@@ -56,6 +56,22 @@ class TestQuadricSystem:
         bell = canonical_form(Ray([1.0, 0.0, 0.0, 1.0])).coords
         assert abs(qs.evaluate(bell)[0]) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mp", [1, 2, 3, 4])
+    def test_evaluate_is_each_literal_minor_in_order(self, m, mp):
+        rng = np.random.default_rng(10 * m + mp)
+        z = rng.normal(size=(m + 1, mp + 1)) + 1j * rng.normal(size=(m + 1, mp + 1))
+        qs = quadric_system(m, mp)
+        want = [z[i, k] * z[j, l] - z[i, l] * z[j, k] for i, j, k, l in qs.constraints]
+        np.testing.assert_allclose(qs.evaluate(z.ravel()), want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mp", [1, 2, 3, 4])
+    def test_evaluate_max_is_the_residual(self, m, mp):
+        r = _rand_ray(np.random.default_rng(100 + 10 * m + mp), (m + 1) * (mp + 1))
+        vals = quadric_system(m, mp).evaluate(canonical_form(r).coords)
+        assert float(np.abs(vals).max()) == max_quadric_residual(r, m, mp)
+
     def test_dimension_guard(self):
         with pytest.raises(DimensionError):
             quadric_system(2, 2).evaluate(np.ones(4))
@@ -98,6 +114,12 @@ class TestEmbedResidual:
     def test_dimension_guard(self):
         with pytest.raises(DimensionError):
             max_quadric_residual(Ray(np.ones(6)), 1, 1)
+        # a single-row split has no minors, so it certifies nothing
+        with pytest.raises(DomainError):
+            max_quadric_residual(Ray([1.0, 2.0, 3.0]), 0, 2)
+        # negative factor dimensions whose product matches the ray dimension
+        with pytest.raises(DomainError):
+            max_quadric_residual(Ray([1.0, 0.0]), -2, -3)
 
     @pytest.mark.parametrize("rows,cols", [(1001, 2), (1500, 3), (2000, 2)])
     def test_row_blocks_match_full_outer_exactly(self, rows, cols):
