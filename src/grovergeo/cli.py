@@ -99,7 +99,7 @@ def main():
 @main.command("grover-trace")
 @click.option("--n", type=int, required=True, help="Number of qubits (2..20).")
 @click.option("--target", type=int, default=0, show_default=True, help="Marked basis index.")
-@click.option("--kmax", type=int, default=None, help="Last query count [default: optimal].")
+@click.option("--kmax", type=click.IntRange(min=0), default=None, help="Last query count [default: optimal].")
 @click.option("--out", type=click.Path(dir_okay=False, allow_dash=True), default="-", show_default=True)
 @_guarded
 def grover_trace(n, target, kmax, out):
@@ -108,8 +108,6 @@ def grover_trace(n, target, kmax, out):
     inst = SearchInstance(n, target)
     if kmax is None:
         kmax = optimal_query_count(inst.size)
-    if kmax < 0:
-        raise click.UsageError(f"kmax must be >= 0, got {kmax}")
     target_ray = Ray(_basis_state(inst.size, target))
     rows = []
     following = grover_state(inst, 0)
@@ -133,7 +131,7 @@ def grover_trace(n, target, kmax, out):
 
 @main.command("entangle-sweep")
 @click.option("--n", type=int, required=True, help="Number of qubits (1..24; oracle sweeps <= 8).")
-@click.option("--points", type=int, default=100, show_default=True, help="Grid size (>= 2).")
+@click.option("--points", type=click.IntRange(min=2), default=100, show_default=True, help="Grid size.")
 @click.option(
     "--method",
     type=click.Choice(["exact", "approx", "oracle", "all"]),
@@ -145,8 +143,6 @@ def grover_trace(n, target, kmax, out):
 @_guarded
 def entangle_sweep(n, points, method, seed, out):
     """Sweep entanglement along the search path at uniform path angles."""
-    if points < 2:
-        raise click.UsageError(f"points must be >= 2, got {points}")
     _check_n(n, 1, _MAX_QUBITS)
     if method in ("oracle", "all") and n > 8:
         raise click.UsageError(f"oracle sweeps support n <= 8, got n={n}")
@@ -184,13 +180,11 @@ def entangle_sweep(n, points, method, seed, out):
 
 
 @main.command("measure-compare")
-@click.option("--points", type=int, default=401, show_default=True, help="Grid size (>= 2).")
+@click.option("--points", type=click.IntRange(min=2), default=401, show_default=True, help="Grid size.")
 @click.option("--out", type=click.Path(dir_okay=False, allow_dash=True), default="-", show_default=True)
 @_guarded
 def measure_compare(points, out):
     """Compare two-qubit entanglement, concurrence, and residual entropy."""
-    if points < 2:
-        raise click.UsageError(f"points must be >= 2, got {points}")
     rows = []
     for t in _angle_grid(2, points):
         point = ent.GroverPathPoint.from_angle(2, t)
@@ -213,13 +207,11 @@ def measure_compare(points, out):
 @main.command("search-time")
 @click.option("--qmin", type=float, default=0.01, show_default=True, help="Smallest overlap (> 0).")
 @click.option("--qmax", type=float, default=1.0, show_default=True, help="Largest overlap (<= 1).")
-@click.option("--points", type=int, default=200, show_default=True, help="Grid size (>= 2).")
+@click.option("--points", type=click.IntRange(min=2), default=200, show_default=True, help="Grid size.")
 @click.option("--out", type=click.Path(dir_okay=False, allow_dash=True), default="-", show_default=True)
 @_guarded
 def search_time(qmin, qmax, points, out):
     """Tabulate search time against target overlap, with both asymptotes."""
-    if points < 2:
-        raise click.UsageError(f"points must be >= 2, got {points}")
     if not 0.0 < qmin < qmax <= 1.0:
         raise click.UsageError(
             f"need 0 < qmin < qmax <= 1, got qmin={qmin!r} qmax={qmax!r}"
@@ -250,13 +242,11 @@ def search_time(qmin, qmax, points, out):
 
 @main.command("separability")
 @click.option("--n", type=int, required=True, help="Number of qubits (2..1023).")
-@click.option("--points", type=int, default=2000, show_default=True, help="Grid size (>= 2).")
+@click.option("--points", type=click.IntRange(min=2), default=2000, show_default=True, help="Grid size.")
 @click.option("--out", type=click.Path(dir_okay=False, allow_dash=True), default="-", show_default=True)
 @_guarded
 def separability(n, points, out):
     """Scan the quadric residual of the path state over its mixing angle."""
-    if points < 2:
-        raise click.UsageError(f"points must be >= 2, got {points}")
     _check_n(n, 2, _SEPARABILITY_MAX_QUBITS)
     size = 1 << n
     rows = []

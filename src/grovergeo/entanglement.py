@@ -31,7 +31,7 @@ from .errors import (
     DomainError,
 )
 from .grover_engine import _check_qubits, _path_angle, _path_level, _rotation_angle
-from .ray_space import Ray, UnitVector, _ascoords
+from .ray_space import Ray, UnitVector, _ascoords, _norm, _unit
 from .segre import max_quadric_residual
 
 __all__ = [
@@ -123,7 +123,7 @@ class GroverPathPoint:
     def ray(self) -> UnitVector:
         z = np.full(self.size, self.u, dtype=np.complex128)
         z[self.size - 1] = 1.0
-        return UnitVector(z / np.linalg.norm(z))
+        return UnitVector(_unit(z))
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ class CoherentProduct:
     def ray(self) -> UnitVector:
         zeros = _zeros_per_index(self.n)
         amps = np.asarray(self.v, dtype=np.complex128) ** zeros
-        return UnitVector(amps / np.linalg.norm(amps))
+        return UnitVector(_unit(amps))
 
 
 @dataclass(frozen=True)
@@ -189,9 +189,11 @@ def coherent_overlap(n: int, u: float, r: float, chi: float = 0.0) -> float:
     product of the expanded vectors.
     """
     point = GroverPathPoint(n, u)  # validates n, u
-    r = float(r)
+    r, chi = float(r), float(chi)
     if not math.isfinite(r) or r < 0.0:
         raise DomainError(f"radius must be finite and >= 0, got {r!r}")
+    if not math.isfinite(chi):
+        raise DomainError(f"phase must be finite, got {chi!r}")
     v = r * complex(math.cos(chi), math.sin(chi))
     return min(1.0, _overlap_unchecked(point.n, point.u, v))
 
@@ -390,8 +392,10 @@ def closest_product_overlap(
     _check_qubits(n)
     if psi.size != 1 << n:
         raise DimensionError(f"state has size {psi.size}, expected {1 << n}")
-    nrm = np.linalg.norm(psi)
-    if nrm == 0.0 or not np.isfinite(nrm):
+    if not np.all(np.isfinite(psi)):  # before the norm, whose |inf|^2 warns
+        raise DomainError("state must be a nonzero finite vector")
+    nrm = _norm(psi)
+    if nrm == 0.0 or not math.isfinite(nrm):
         raise DomainError("state must be a nonzero finite vector")
     psi = psi / nrm
     if resolution < 2:
@@ -463,15 +467,20 @@ def entanglement_grid_oracle(
 # pairwise measures for the two-qubit cross-checks
 
 
-def reduced_density_2q(state) -> np.ndarray:
-    """Reduced density matrix of the first qubit of a two-qubit pure state."""
+def _unit_2q(state) -> np.ndarray:
+    """A two-qubit pure state as a unit 4-vector."""
     psi = _ascoords(state)
     if psi.size != 4:
         raise DimensionError(f"expected a 4-component state, got size {psi.size}")
-    nrm = np.linalg.norm(psi)
+    nrm = _norm(psi)
     if nrm == 0.0:
         raise DomainError("state must be nonzero")
-    m = (psi / nrm).reshape(2, 2)
+    return psi / nrm
+
+
+def reduced_density_2q(state) -> np.ndarray:
+    """Reduced density matrix of the first qubit of a two-qubit pure state."""
+    m = _unit_2q(state).reshape(2, 2)
     return m @ m.conj().T
 
 
@@ -488,13 +497,7 @@ _SPIN_FLIP = np.array(
 
 def concurrence(state) -> float:
     """Concurrence |<psi*| sigma_y x sigma_y |psi>| of a two-qubit pure state."""
-    psi = _ascoords(state)
-    if psi.size != 4:
-        raise DimensionError(f"expected a 4-component state, got size {psi.size}")
-    nrm = np.linalg.norm(psi)
-    if nrm == 0.0:
-        raise DomainError("state must be nonzero")
-    psi = psi / nrm
+    psi = _unit_2q(state)
     return float(abs(psi @ _SPIN_FLIP @ psi))
 
 

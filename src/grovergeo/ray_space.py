@@ -8,6 +8,8 @@ geodesics between orthonormal endpoints.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -44,6 +46,21 @@ def _ascoords(x) -> np.ndarray:
     if arr.ndim != 1:
         raise InvalidRay(f"expected a 1-D coordinate vector, got shape {arr.shape}")
     return arr
+
+
+def _norm(z: np.ndarray) -> float:
+    """Euclidean norm, as a pairwise sum of |z|^2 whose rounding grows like log N.
+
+    The BLAS dot of ``np.linalg.norm`` errs like N, past the unit-norm check at 2^17.
+    """
+    return math.sqrt(np.add.reduce((z * z.conj()).real))
+
+
+def _unit(arr: np.ndarray) -> np.ndarray:
+    norm = _norm(arr)
+    if norm == 0.0:
+        raise InvalidRay("all-zero coordinates do not define a ray")
+    return arr / norm
 
 
 class Ray:
@@ -98,7 +115,7 @@ class UnitVector(Ray):
 
     def __init__(self, coords):
         super().__init__(coords)
-        norm = np.linalg.norm(self._coords)
+        norm = _norm(self._coords)
         if abs(norm - 1.0) > _UNIT_NORM_TOL:
             raise InvalidRay(f"norm {norm!r} is not 1 within {_UNIT_NORM_TOL}")
 
@@ -150,16 +167,12 @@ def canonical_form(r: Ray | np.ndarray) -> UnitVector:
     -------
     UnitVector
     """
-    arr = _ascoords(r)
-    norm = np.linalg.norm(arr)
-    if norm == 0.0:
-        raise InvalidRay("all-zero coordinates do not define a ray")
-    v = arr / norm
+    v = _unit(_ascoords(r))
     mags = np.abs(v)
     j = int(np.argmax(mags))  # argmax takes the first maximum: lowest index
     v = v * np.conj(v[j] / mags[j])
     v[j] = mags[j]  # kill the residual imaginary part exactly
-    return UnitVector(v / np.linalg.norm(v))
+    return UnitVector(_unit(v))
 
 
 def inhomogeneous(r: Ray | np.ndarray, pivot: int) -> InhomogeneousChart:
@@ -173,13 +186,6 @@ def inhomogeneous(r: Ray | np.ndarray, pivot: int) -> InhomogeneousChart:
         raise ChartUndefined(f"coordinate {pivot} vanishes; chart undefined there")
     ratios = np.delete(arr, pivot) / arr[pivot]
     return InhomogeneousChart(pivot, ratios)
-
-
-def _unit(arr: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(arr)
-    if norm == 0.0:
-        raise InvalidRay("all-zero coordinates do not define a ray")
-    return arr / norm
 
 
 def transition_probability(a: Ray | np.ndarray, b: Ray | np.ndarray) -> float:
@@ -222,7 +228,7 @@ def geodesic_point(p1, p2, s: float) -> UnitVector:
     v1, v2 = _ascoords(p1), _ascoords(p2)
     if v1.size != v2.size:
         raise DimensionError(f"dimension mismatch: {v1.size} vs {v2.size}")
-    if abs(np.linalg.norm(v1) - 1.0) > 1e-10 or abs(np.linalg.norm(v2) - 1.0) > 1e-10:
+    if abs(_norm(v1) - 1.0) > 1e-10 or abs(_norm(v2) - 1.0) > 1e-10:
         raise GeodesicBasisError("geodesic endpoints must be unit vectors")
     if abs(np.vdot(v1, v2)) > 1e-10:
         raise GeodesicBasisError("geodesic endpoints must be orthogonal")
@@ -230,7 +236,7 @@ def geodesic_point(p1, p2, s: float) -> UnitVector:
     if not 0.0 <= s <= np.pi:
         raise DomainError(f"arc length {s} outside [0, pi]")
     out = np.cos(0.5 * s) * v1 + np.sin(0.5 * s) * v2
-    return UnitVector(out / np.linalg.norm(out))
+    return UnitVector(_unit(out))
 
 
 def horizontality_residual(samples) -> float:
@@ -277,7 +283,7 @@ def fs_line_element(psi, dpsi) -> float:
     dv = np.asarray(dpsi, dtype=complex)
     if dv.ndim != 1 or dv.size != v.size:
         raise DimensionError(f"displacement shape {dv.shape} does not match dim {v.size}")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-10:
+    if abs(_norm(v) - 1.0) > 1e-10:
         raise InvalidRay("base point must be a unit vector")
     cross = np.vdot(v, dv)
     if abs(cross.real) > 1e-8:

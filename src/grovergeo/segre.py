@@ -9,11 +9,12 @@ of an n-qubit ray is decided by recursively splitting off the last qubit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, product
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .ray_space import Ray, canonical_form, _ascoords
+from .ray_space import Ray, canonical_form, _ascoords, _norm
 
 __all__ = [
     "QuadricSystem",
@@ -37,11 +38,17 @@ class QuadricSystem:
 
     m: int
     m_prime: int
-    constraints: tuple
 
     @property
     def count(self) -> int:
-        return len(self.constraints)
+        return self.m * (self.m + 1) * self.m_prime * (self.m_prime + 1) // 4
+
+    @property
+    def constraints(self) -> tuple:
+        """Every quadruple (i, j, k, l), in ascending lexicographic order."""
+        row_pairs = combinations(range(self.m + 1), 2)
+        col_pairs = combinations(range(self.m_prime + 1), 2)
+        return tuple(ij + kl for ij, kl in product(row_pairs, col_pairs))
 
     def evaluate(self, coords) -> np.ndarray:
         """Constraint polynomial values on the given coordinates, in order."""
@@ -78,18 +85,11 @@ def segre_embed(a: Ray, b: Ray) -> Ray:
 def quadric_system(m: int, m_prime: int) -> QuadricSystem:
     """All minor constraints for the (m, m') Segre variety.
 
-    Quadruples are emitted in ascending lexicographic (i, j, k, l) order;
-    there are exactly m(m+1) m'(m'+1)/4 of them.
+    There are exactly m(m+1) m'(m'+1)/4 of them; the quadruples are built
+    only when ``constraints`` is read.
     """
     m, m_prime = _check_split(m, m_prime)
-    quads = tuple(
-        (i, j, k, l)
-        for i in range(m + 1)
-        for j in range(i + 1, m + 1)
-        for k in range(m_prime + 1)
-        for l in range(k + 1, m_prime + 1)
-    )
-    return QuadricSystem(m=m, m_prime=m_prime, constraints=quads)
+    return QuadricSystem(m=m, m_prime=m_prime)
 
 
 def _check_split(m, m_prime) -> tuple[int, int]:
@@ -146,7 +146,7 @@ def _rebuild_distance(rebuilt: np.ndarray, original: np.ndarray) -> float:
     """
     overlap = np.vdot(rebuilt, original)
     phase = overlap / abs(overlap) if overlap != 0 else 1.0
-    gap = np.linalg.norm(original - phase * rebuilt / np.linalg.norm(rebuilt))
+    gap = _norm(original - phase * rebuilt / _norm(rebuilt))
     return float(4.0 * np.arcsin(min(1.0, gap / 2.0)))
 
 
@@ -183,13 +183,13 @@ def is_fully_separable(r: Ray, n: int, tol: float = 1e-9) -> SeparabilityReport:
     worst = 0.0
     for _ in range(n - 1):
         matrix = z.reshape(-1, 2)
-        residual = _max_minor_residual(matrix / np.linalg.norm(z))
+        residual = _max_minor_residual(matrix / _norm(z))
         worst = max(worst, residual)
         if residual > tol:
             return SeparabilityReport(False, worst, None)
         even, odd = matrix[:, 0], matrix[:, 1]
         # reference slice of larger norm avoids dividing by a tiny amplitude
-        ref = even if np.linalg.norm(even) >= np.linalg.norm(odd) else odd
+        ref = even if _norm(even) >= _norm(odd) else odd
         scale = np.vdot(ref, ref)
         factors_last_first.append(
             Ray([np.vdot(ref, even) / scale, np.vdot(ref, odd) / scale])

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grovergeo
 from grovergeo import __version__
@@ -224,6 +226,40 @@ def test_out_of_range_qubit_count_is_usage_error(runner, command, n):
     assert res.exit_code == 2
     assert "Traceback" not in res.output
     assert f"got n={n}" in res.output
+
+
+_N_RANGES = {"grover-trace": (2, 20), "entangle-sweep": (1, 24), "separability": (2, 1023)}
+
+
+@st.composite
+def _sized_invocations(draw):
+    """A command with --n, and whether its arguments are valid.
+
+    n is drawn from [-5, 2000], but only outside the command's range or at
+    most 5, so that no large state is ever built.
+    """
+    command = draw(st.sampled_from(sorted(_N_RANGES)))
+    lo, hi = _N_RANGES[command]
+    n = draw(st.integers(-5, 2000).filter(lambda n: not lo <= n <= hi or n <= 5))
+    args, valid = [command, "--n", str(n)], lo <= n <= hi
+    if command == "grover-trace":
+        kmax = draw(st.integers(-2, 3))
+        args += ["--kmax", str(kmax)]
+        valid = valid and kmax >= 0
+    else:
+        points = draw(st.integers(-2, 5))
+        args += ["--points", str(points)]
+        valid = valid and points >= 2
+    return args, valid
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_sized_invocations())
+def test_sized_commands_exit_0_or_2(invocation):
+    args, valid = invocation
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == (0 if valid else 2), res.output
+    assert "Traceback" not in res.output
 
 
 class TestMeasureCompare:

@@ -113,6 +113,11 @@ class TestCoherentOverlap:
     def test_domain(self):
         with pytest.raises(DomainError):
             coherent_overlap(3, 0.2, -0.5)
+        # min(1, nan) is 1: a NaN phase would claim a product state
+        with pytest.raises(DomainError):
+            coherent_overlap(3, 0.5, 0.5, float("nan"))
+        with pytest.raises(DomainError):
+            coherent_overlap(3, 0.5, 0.5, float("inf"))
 
 
 class TestStationaryStructure:
@@ -456,6 +461,8 @@ class TestOracle:
             entanglement_grid_oracle(np.zeros(8), 3)
         with pytest.raises(DomainError):
             closest_product_overlap(np.ones(8), 3, resolution=1)
+        with pytest.raises(DomainError):
+            closest_product_overlap(np.array([np.inf, 0.0, 0.0, 1.0]), 2)
 
 
 class TestPairwiseMeasures:

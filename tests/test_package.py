@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import grovergeo
 
 
@@ -8,3 +10,15 @@ def test_star_import_binds_exactly_the_public_names():
     exec("from grovergeo import *", namespace)
     namespace.pop("__builtins__")
     assert set(namespace) == set(names)
+
+
+def test_state_vectors_use_the_one_norm():
+    # ray_space._norm is the one norm; a BLAS norm breaks the unit-norm check
+    # at n >= 17.  Only the ascent's row-wise random starts may keep theirs.
+    allowed = "np.linalg.norm(f, axis=1, keepdims=True)"
+    found = []
+    for path in sorted(Path(grovergeo.__file__).parent.glob("*.py")):
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if "np.linalg.norm(" in line and allowed not in line:
+                found.append(f"{path.name}:{number}: {line.strip()}")
+    assert found == []

@@ -1,13 +1,23 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import grovergeo
 from grovergeo import (
     Ray,
+    SearchInstance,
     UnitVector,
     canonical_form,
     fs_distance,
     fs_line_element,
     geodesic_point,
+    grover_path_ray,
+    grover_state,
     horizontality_residual,
     inhomogeneous,
     transition_probability,
@@ -249,3 +259,46 @@ class TestLineElement:
     def test_non_unit_base_rejected(self):
         with pytest.raises(InvalidRay):
             fs_line_element(np.array([2.0, 0.0], dtype=complex), np.zeros(2, dtype=complex))
+
+
+_LARGE_STATES = """
+import numpy as np
+from grovergeo import CoherentProduct, SearchInstance, grover_path_ray, grover_state
+from grovergeo import optimal_query_count
+for n in range(17, 22):
+    inst = SearchInstance(n, 12345)
+    for k in np.linspace(0, optimal_query_count(inst.size), 40).round():
+        grover_state(inst, int(k))
+    for u in np.linspace(0.0, 1.0, 12):
+        grover_path_ray(n, float(u))
+    CoherentProduct(n, 0.3 * np.exp(0.4j)).ray()
+"""
+
+
+def _exact_norm_error(v) -> float:
+    z = v.coords
+    return abs(math.fsum(np.concatenate([z.real**2, z.imag**2])) - 1.0)
+
+
+class TestUnitNorm:
+    def test_large_states_pass_their_own_check(self):
+        # a fresh interpreter, so that the BLAS thread count takes effect:
+        # one thread, as the benchmark runs, is where a BLAS norm errs most
+        src = str(Path(grovergeo.__file__).resolve().parents[1])
+        threads = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        out = subprocess.run(
+            [sys.executable, "-c", _LARGE_STATES],
+            env={**os.environ, **threads, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_normalised_to_the_last_bits(self, n):
+        inst = SearchInstance(n, 37)
+        rng = np.random.default_rng(n)
+        states = [grover_state(inst, k) for k in range(0, 12, 3)]
+        states += [grover_path_ray(n, u) for u in (0.01, 0.3, 1.0)]
+        states.append(canonical_form(_random_ray(rng, 1 << n)))
+        assert max(_exact_norm_error(v) for v in states) <= 1e-15

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,16 @@ class TestQuadricSystem:
     @pytest.mark.parametrize("mp", [1, 2, 3, 4])
     def test_constraint_count_formula(self, m, mp):
         assert quadric_system(m, mp).count == m * (m + 1) * mp * (mp + 1) // 4
+
+    def test_count_builds_no_constraints(self):
+        tracemalloc.start()
+        try:
+            count = quadric_system(2047, 1).count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 2096128
+        assert peak < 2**20
 
     def test_quadruples_lexicographic_and_valid(self):
         qs = quadric_system(2, 3)
