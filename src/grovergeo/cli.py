@@ -20,6 +20,7 @@ from . import entanglement as ent
 from .errors import ConvergenceError, GrovergeoError, SizeError
 from .grover_engine import (
     _MAX_QUBITS,
+    _MIN_OVERLAP,
     SearchInstance,
     _basis_state,
     _path_angle,
@@ -41,43 +42,25 @@ class NumericalFailure(click.ClickException):
     exit_code = 3
 
 
-def _guarded(fn):
-    # package errors surface as exit 2 (usage) or 3 (numerical failure)
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ConvergenceError as exc:
-            raise NumericalFailure(str(exc)) from exc
-        except GrovergeoError as exc:
-            raise click.UsageError(str(exc)) from exc
+def _csv_text(command, config, columns, data) -> str:
+    """One table as CSV: a (name, unit) pair per column and a sequence per column.
 
-    return wrapper
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value) + 0.0, ".17g")  # +0.0 folds -0.0 into 0
-
-
-def _write_csv(out, command, config, units, columns, rows):
-    lines = [
+    Integer columns print with %d, float columns with 17 significant digits,
+    and a column given as None prints blank.
+    """
+    data = [None if col is None else np.asarray(col) for col in data]
+    ints = [col is not None and col.dtype.kind in "iu" for col in data]
+    row = ",".join("" if col is None else "%d" if i else "%.17g" for col, i in zip(data, ints))
+    # +0.0 folds -0.0 into 0
+    values = [(col if i else col + 0.0).tolist() for col, i in zip(data, ints) if col is not None]
+    header = [
         f"# grovergeo {__version__}",
         f"# command: {command}",
         "# config: " + " ".join(f"{k}={v}" for k, v in config.items()),
-        f"# units: {units}",
-        ",".join(columns),
+        "# units: " + "; ".join(f"{name} {unit}" for name, unit in columns),
+        ",".join(name for name, _ in columns),
     ]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out == "-":
-        click.echo(text, nl=False)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    return "\n".join([*header, *(row % r for r in zip(*values)), ""])
 
 
 def _check_n(n, lo, hi):
@@ -96,13 +79,42 @@ def main():
     """Numerical toolkit for the geometry of quantum search."""
 
 
-@main.command("grover-trace")
+def _command(name):
+    """Register a command that returns ``(config, columns, data)`` for ``_csv_text``.
+
+    The command gains the ``--out`` option, and package errors exit 2 (usage)
+    or 3 (numerical failure).
+    """
+
+    def register(fn):
+        @functools.wraps(fn)
+        def run(out, **options):
+            try:
+                table = fn(**options)
+            except ConvergenceError as exc:
+                raise NumericalFailure(str(exc)) from exc
+            except GrovergeoError as exc:
+                raise click.UsageError(str(exc)) from exc
+            text = _csv_text(name, *table)
+            if out == "-":
+                click.echo(text, nl=False)
+            else:
+                with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+
+        command = main.command(name)(run)
+        out = click.Path(dir_okay=False, allow_dash=True)
+        command.params.append(click.Option(["--out"], type=out, default="-", show_default=True))
+        return command
+
+    return register
+
+
+@_command("grover-trace")
 @click.option("--n", type=int, required=True, help="Number of qubits (2..20).")
 @click.option("--target", type=int, default=0, show_default=True, help="Marked basis index.")
 @click.option("--kmax", type=click.IntRange(min=0), default=None, help="Last query count [default: optimal].")
-@click.option("--out", type=click.Path(dir_okay=False, allow_dash=True), default="-", show_default=True)
-@_guarded
-def grover_trace(n, target, kmax, out):
+def grover_trace(n, target, kmax):
     """Trace a search run: success, distance, step speed, quadric residual."""
     _check_n(n, 2, 20)
     inst = SearchInstance(n, target)
@@ -118,18 +130,12 @@ def grover_trace(n, target, kmax, out):
         rows.append(
             (k, success_probability(inst, k), fs_distance(state, target_ray), step, residual)
         )
-    _write_csv(
-        out,
-        "grover-trace",
-        {"n": n, "target": target, "kmax": kmax},
-        "k queries; success_probability probability; fs_distance_to_target radians; "
-        "step_speed radians/query; quadric_residual dimensionless",
-        ["k", "success_probability", "fs_distance_to_target", "step_speed", "quadric_residual"],
-        rows,
-    )
+    columns = [("k", "queries"), ("success_probability", "probability"), ("fs_distance_to_target", "radians"),
+               ("step_speed", "radians/query"), ("quadric_residual", "dimensionless")]
+    return {"n": n, "target": target, "kmax": kmax}, columns, list(zip(*rows))
 
 
-@main.command("entangle-sweep")
+@_command("entangle-sweep")
 @click.option("--n", type=int, required=True, help="Number of qubits (1..24; oracle sweeps <= 8).")
 @click.option("--points", type=click.IntRange(min=2), default=100, show_default=True, help="Grid size.")
 @click.option(
@@ -139,9 +145,7 @@ def grover_trace(n, target, kmax, out):
     show_default=True,
 )
 @click.option("--seed", type=int, default=0, show_default=True, help="Oracle RNG seed.")
-@click.option("--out", type=click.Path(dir_okay=False, allow_dash=True), default="-", show_default=True)
-@_guarded
-def entangle_sweep(n, points, method, seed, out):
+def entangle_sweep(n, points, method, seed):
     """Sweep entanglement along the search path at uniform path angles."""
     _check_n(n, 1, _MAX_QUBITS)
     if method in ("oracle", "all") and n > 8:
@@ -159,31 +163,29 @@ def entangle_sweep(n, points, method, seed, out):
             ent.grover_path_ray(n, u), n, resolution=_ORACLE_RESOLUTION, seed=seed
         ),
     }
+    columns = [("t", "radians"), ("u", "dimensionless")]
     if method == "all":
         names = list(routes)
         fields = lambda res: (res.value,)
-        columns = ["t", "u"] + [f"E_{name}" for name in names]
-        units = "t radians; u dimensionless; " + "; ".join(f"E_{name} radians" for name in names)
+        columns += [(f"E_{name}", "radians") for name in names]
     else:
         names = [method]
         fields = lambda res: (res.value, res.r_star, res.chi_star, res.root_count)
-        columns = ["t", "u", "E", "r_star", "chi_star", "root_count"]
-        units = (
-            "t radians; u dimensionless; E radians; r_star dimensionless; "
-            "chi_star radians; root_count count"
-        )
+        columns += [("E", "radians"), ("r_star", "dimensionless"), ("chi_star", "radians"),
+                    ("root_count", "count")]
     rows = []
     for t in ts:
         u = ent.GroverPathPoint.from_angle(n, t).u
         rows.append((t, u, *(v for name in names for v in fields(routes[name](t, u)))))
-    _write_csv(out, "entangle-sweep", config, units, columns, rows)
+    data = list(zip(*rows))
+    if method in ("approx", "oracle"):
+        data[-1] = None  # only root finding counts roots
+    return config, columns, data
 
 
-@main.command("measure-compare")
+@_command("measure-compare")
 @click.option("--points", type=click.IntRange(min=2), default=401, show_default=True, help="Grid size.")
-@click.option("--out", type=click.Path(dir_okay=False, allow_dash=True), default="-", show_default=True)
-@_guarded
-def measure_compare(points, out):
+def measure_compare(points):
     """Compare two-qubit entanglement, concurrence, and residual entropy."""
     rows = []
     for t in _angle_grid(2, points):
@@ -193,73 +195,38 @@ def measure_compare(points, out):
         c = ent.concurrence(psi)
         s = ent.partial_entropy(ent.reduced_density_2q(psi))
         rows.append((t, point.u, e_geo, c, s))
-    _write_csv(
-        out,
-        "measure-compare",
-        {"points": points},
-        "t radians; u dimensionless; E_geometric radians; concurrence dimensionless; "
-        "partial_entropy bits",
-        ["t", "u", "E_geometric", "concurrence", "partial_entropy"],
-        rows,
-    )
+    columns = [("t", "radians"), ("u", "dimensionless"), ("E_geometric", "radians"),
+               ("concurrence", "dimensionless"), ("partial_entropy", "bits")]
+    return {"points": points}, columns, list(zip(*rows))
 
 
-@main.command("search-time")
+@_command("search-time")
 @click.option("--qmin", type=float, default=0.01, show_default=True, help="Smallest overlap (> 0).")
 @click.option("--qmax", type=float, default=1.0, show_default=True, help="Largest overlap (<= 1).")
 @click.option("--points", type=click.IntRange(min=2), default=200, show_default=True, help="Grid size.")
-@click.option("--out", type=click.Path(dir_okay=False, allow_dash=True), default="-", show_default=True)
-@_guarded
-def search_time(qmin, qmax, points, out):
+def search_time(qmin, qmax, points):
     """Tabulate search time against target overlap, with both asymptotes."""
-    if not 0.0 < qmin < qmax <= 1.0:
+    if not _MIN_OVERLAP <= qmin < qmax <= 1.0:
         raise click.UsageError(
-            f"need 0 < qmin < qmax <= 1, got qmin={qmin!r} qmax={qmax!r}"
+            f"need {_MIN_OVERLAP!r} <= qmin < qmax <= 1, got qmin={qmin!r} qmax={qmax!r}"
         )
-    rows = []
-    for q in np.linspace(qmin, qmax, points):
-        m = search_metrics(q)
-        rows.append(
-            (
-                q,
-                m.speed,
-                m.distance,
-                m.queries,
-                math.pi / (4.0 * q),
-                math.sqrt(2.0 * (1.0 - q)) / math.pi,
-            )
-        )
-    _write_csv(
-        out,
-        "search-time",
-        {"qmin": qmin, "qmax": qmax, "points": points},
-        "q dimensionless; V radians/query; s_w radians; T_w queries; "
-        "approx_small_q queries; approx_large_q queries",
-        ["q", "V", "s_w", "T_w", "approx_small_q", "approx_large_q"],
-        rows,
-    )
+    q = np.linspace(qmin, qmax, points)
+    m = search_metrics(q)
+    columns = [("q", "dimensionless"), ("V", "radians/query"), ("s_w", "radians"), ("T_w", "queries"),
+               ("approx_small_q", "queries"), ("approx_large_q", "queries")]
+    data = [q, m.speed, m.distance, m.queries, np.pi / (4.0 * q), np.sqrt(2.0 * (1.0 - q)) / np.pi]
+    return {"qmin": qmin, "qmax": qmax, "points": points}, columns, data
 
 
-@main.command("separability")
+@_command("separability")
 @click.option("--n", type=int, required=True, help="Number of qubits (2..1023).")
 @click.option("--points", type=click.IntRange(min=2), default=2000, show_default=True, help="Grid size.")
-@click.option("--out", type=click.Path(dir_okay=False, allow_dash=True), default="-", show_default=True)
-@_guarded
-def separability(n, points, out):
+def separability(n, points):
     """Scan the quadric residual of the path state over its mixing angle."""
     _check_n(n, 2, _SEPARABILITY_MAX_QUBITS)
-    size = 1 << n
-    rows = []
-    for phi in _angle_grid(n, points):
-        rows.append((phi, grover_separability_residual(size, phi)))
-    _write_csv(
-        out,
-        "separability",
-        {"n": n, "points": points},
-        "phi radians; residual dimensionless",
-        ["phi", "residual"],
-        rows,
-    )
+    phi = _angle_grid(n, points)
+    columns = [("phi", "radians"), ("residual", "dimensionless")]
+    return {"n": n, "points": points}, columns, [phi, grover_separability_residual(1 << n, phi)]
 
 
 if __name__ == "__main__":

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _MAX_QUBITS = 24  # memory guard for materialized state vectors
+_MIN_OVERLAP = float(np.finfo(float).tiny)  # smallest target overlap search_metrics takes
 
 
 def _check_qubits(n: int) -> int:
@@ -87,16 +88,16 @@ class SearchInstance:
 
 @dataclass(frozen=True)
 class SearchMetrics:
-    """Distance bookkeeping of one search kernel.
+    """Distance bookkeeping of one search kernel, or of an array of them.
 
     speed: Fubini-Study distance covered per query (radians).
     distance: total distance from the start state to the target (radians).
     queries: distance / speed, the (real) number of queries to arrive.
     """
 
-    speed: float
-    distance: float
-    queries: float
+    speed: float | np.ndarray
+    distance: float | np.ndarray
+    queries: float | np.ndarray
 
 
 def average_state(n: int) -> UnitVector:
@@ -184,6 +185,8 @@ class GeodesicKernelParams:
 
     def __init__(self, state, target: int):
         v = _ascoords(state).copy()
+        if not np.all(np.isfinite(v)):  # before the norm, whose |inf|^2 warns
+            raise DomainError("start state must be a finite vector")
         norm = _norm(v)
         if norm == 0.0:
             raise DegenerateKernel("zero start state")
@@ -245,15 +248,22 @@ def generalized_state(
     return UnitVector(_unit(out))
 
 
-def search_metrics(q: float) -> SearchMetrics:
-    """Speed, total distance and query count for target overlap q."""
-    q = float(q)
-    if not 0.0 < q <= 1.0:
-        raise DomainError(f"overlap {q} outside (0, 1]")
+def search_metrics(q) -> SearchMetrics:
+    """Speed, total distance and query count for target overlap q.
+
+    ``q`` may be an array, and the metrics are then arrays of its shape; a
+    scalar ``q`` gives floats.  Every overlap must lie in [tiny, 1], tiny
+    being the smallest normal float: below it pi/(4q) overflows.
+    """
+    q = np.asarray(q, dtype=float)
+    bad = ~((q >= _MIN_OVERLAP) & (q <= 1.0))  # NaN is bad too
+    if bad.any():
+        raise DomainError(f"overlap {q[bad][0]} outside [{_MIN_OVERLAP}, 1]")
     half = np.arcsin(q)
     speed = 4.0 * half
     distance = np.pi - 2.0 * half
-    return SearchMetrics(speed=float(speed), distance=float(distance), queries=float(distance / speed))
+    metrics = (speed, distance, distance / speed)
+    return SearchMetrics(*(float(m) if q.ndim == 0 else m for m in metrics))
 
 
 def worst_case_time(amplitude_magnitudes) -> float:

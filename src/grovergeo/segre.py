@@ -8,6 +8,7 @@ of an n-qubit ray is decided by recursively splitting off the last qubit.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -206,18 +207,22 @@ def is_fully_separable(r: Ray, n: int, tol: float = 1e-9) -> SeparabilityReport:
     return SeparabilityReport(True, worst, factors)
 
 
-def grover_separability_residual(N: int, phi: float) -> float:
+def grover_separability_residual(N: int, phi) -> float | np.ndarray:
     """Separability defect of the search path state at continuous angle phi.
 
     The state with amplitude cos(phi)/sqrt(N-1) on every unmarked basis
     state and sin(phi) on the target violates the product quadrics by
     exactly |cos(phi) sin(phi)/sqrt(N-1) - cos(phi)^2/(N-1)|, which
     vanishes only at phi with tan(phi) = 1/sqrt(N-1) (the average state)
-    and at phi = pi/2 (the target).
+    and at phi = pi/2 (the target).  ``phi`` may be an array, and the
+    defect is then an array of its shape; a scalar ``phi`` gives a float.
     """
     N = int(N)
     if N < 4:
         raise DomainError(f"state space size {N} must be >= 4")
-    phi = float(phi)
+    if N > sys.float_info.max:  # N - 1.0 would overflow
+        raise DomainError(f"state space size of {N.bit_length()} bits does not fit a float")
+    phi = np.asarray(phi, dtype=float)
     c, s = np.cos(phi), np.sin(phi)
-    return float(abs(c * s / np.sqrt(N - 1.0) - c * c / (N - 1.0)))
+    residual = np.abs(c * s / np.sqrt(N - 1.0) - c * c / (N - 1.0))
+    return float(residual) if residual.ndim == 0 else residual

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -70,6 +71,27 @@ class TestCsvEnvelope:
         assert res.exit_code == 0
         assert "grovergeo" in res.stdout
         assert __version__ in res.stdout
+
+
+# sha256 of the exact stdout; between them these cover the int columns, the
+# blank root_count, the ``all`` header and the -0.0 fold
+_GOLDEN_STDOUT = {
+    "grover-trace --n 2 --target 3 --kmax 2": "e479dca06a5daf063bc3078a1dbc88446ebc51e43d637181f8d78671dad655cd",
+    "entangle-sweep --n 3 --points 5 --method exact": "f2ba3ea49f3e25015787b046b606ea83cb47ad4ad643c7508d2cad025f7b4b4c",
+    "entangle-sweep --n 3 --points 5 --method approx": "155155e355a881310c27f7db0caa60da8f12df2067c47c1c4e1172868ae44fc7",
+    "entangle-sweep --n 3 --points 5 --method oracle": "dd3ff47c11f1f96d47022108f11ea9b6de9bce4779b2e7d29480bff9213ab855",
+    "entangle-sweep --n 3 --points 5 --method all": "f318fb835a3bf0e5d166a441218b3f7c44a9959a4f34134b4ac1a4ee81a43f77",
+    "measure-compare --points 9": "059efdccc873bf1d1aafbb10e7c21f00d7cf40e97a145e0891a0f79148504be9",
+    "search-time --points 7": "bc80ba7295a8db38e9c16c66075696fafc901da58006e72e3e4ea29282972357",
+    "separability --n 4 --points 7": "b2a8dca5c66ab027cd64e7c3d824140421e7b369d6e3ffaf6bf56484e2026a49",
+}
+
+
+@pytest.mark.parametrize("command", sorted(_GOLDEN_STDOUT))
+def test_golden_stdout_bytes(runner, command):
+    res = runner.invoke(main, command.split())
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == _GOLDEN_STDOUT[command], res.stdout
 
 
 class TestDeterminism:
@@ -327,6 +349,14 @@ class TestSearchTime:
             == 2
         )
         assert runner.invoke(main, ["search-time", "--qmax", "1.5"]).exit_code == 2
+
+    def test_subnormal_overlap_is_usage_error(self, runner):
+        # pi / (4 q) overflows below the smallest normal float
+        res = runner.invoke(
+            main, ["search-time", "--qmin", "1e-320", "--qmax", "1e-310", "--points", "3"]
+        )
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
 
 
 class TestSeparability:

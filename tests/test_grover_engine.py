@@ -128,8 +128,30 @@ class TestSearchMetrics:
     def test_full_overlap_is_free(self):
         assert search_metrics(1.0).queries == 0.0
 
-    @pytest.mark.parametrize("q", [0.0, -0.5, 1.5, np.nan])
+    @pytest.mark.parametrize("q", [0.0, -0.5, 1.5, np.nan, 1e-310])
     def test_domain(self, q):
+        with pytest.raises(DomainError):
+            search_metrics(q)
+
+    def test_array_matches_scalar_calls(self):
+        tiny = np.finfo(float).tiny
+        q = np.concatenate([np.geomspace(tiny, 1.0, 500), np.linspace(0.0, 1.0, 501)[1:]])
+        m = search_metrics(q)
+        scalar = [search_metrics(x) for x in q.tolist()]
+        assert m.speed.shape == m.distance.shape == m.queries.shape == q.shape
+        assert m.speed.tolist() == [s.speed for s in scalar]
+        assert m.distance.tolist() == [s.distance for s in scalar]
+        assert m.queries.tolist() == [s.queries for s in scalar]
+
+    @pytest.mark.parametrize("q", [0.5, np.float64(0.5), np.array(0.5)])
+    def test_scalar_gives_floats(self, q):
+        m = search_metrics(q)
+        assert type(m.speed) is type(m.distance) is type(m.queries) is float
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, 1e-310])
+    def test_array_domain(self, bad):
+        q = np.linspace(0.1, 1.0, 7)
+        q[3] = bad
         with pytest.raises(DomainError):
             search_metrics(q)
 
@@ -206,6 +228,10 @@ class TestGeneralizedKernel:
             GeodesicKernelParams(np.zeros(4), 0)
         with pytest.raises(DegenerateKernel):
             GeodesicKernelParams(np.eye(4)[1], 0)  # no target overlap
+        for bad in (np.inf, np.nan):
+            for target in (0, 1):
+                with pytest.raises(DomainError):
+                    GeodesicKernelParams(np.array([bad, 1.0]), target)
 
     def test_target_mismatch_rejected(self):
         par = GeodesicKernelParams(fourier_state(2, 1), 0)

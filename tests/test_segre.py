@@ -280,3 +280,17 @@ class TestGroverSeparabilityResidual:
     def test_size_guard(self):
         with pytest.raises(DomainError):
             grover_separability_residual(2, 0.3)
+        with pytest.raises(DomainError):
+            grover_separability_residual(2**1100, 0.3)  # N - 1.0 overflows
+
+    @pytest.mark.parametrize("n", [2, 12, 1023])
+    def test_array_matches_scalar_calls(self, n):
+        N = 1 << n
+        phi = np.linspace(np.arcsin(N**-0.5), np.pi / 2, 1000)
+        res = grover_separability_residual(N, phi)
+        assert res.shape == phi.shape
+        assert res.tolist() == [grover_separability_residual(N, x) for x in phi.tolist()]
+
+    def test_scalar_gives_float(self):
+        for phi in (0.3, np.float64(0.3), np.array(0.3)):
+            assert type(grover_separability_residual(16, phi)) is float
