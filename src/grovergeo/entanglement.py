@@ -12,14 +12,17 @@ entropy) used to cross-check the two-qubit case.
 Conventions: qubit ``j`` of basis index ``x`` is bit ``n - 1 - j`` (index 0
 is |00...0>, index N-1 the marked state |11...1>).  A coherent product
 state has per-qubit coordinates (v, 1), so its amplitude at ``x`` is
-``v ** zeros(x)``.  Entanglement is the projective-space angle
+``v ** zeros(x)``.  Entanglement is the Fubini-Study angle
 ``E = 2 arccos sqrt(P)`` where ``P`` is the best squared overlap with a
-product state.
+product state.  The oracle takes E as the ``fs_distance`` to its best product
+vector, exact near 0; the other routes know only ``P`` and convert it.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .errors import (
     DomainError,
 )
 from .grover_engine import _check_qubits, _path_angle, _path_level, _rotation_angle
-from .ray_space import Ray, UnitVector, _ascoords, _norm, _unit
+from .ray_space import Ray, UnitVector, _ascoords, _norm, _overlap_angle, _unit, fs_distance
 from .segre import max_quadric_residual
 
 __all__ = [
@@ -285,7 +288,7 @@ def entanglement_exact_2q(u: float) -> EntanglementResult:
     disc = (1.0 - u) ** 2 + 4.0 * u * u
     r = (-(1.0 - u) + math.sqrt(disc)) / (2.0 * u)
     p, r_star = _best_real_axis(2, u, [0.0, r, 1.0])
-    return EntanglementResult(2.0 * math.acos(math.sqrt(p)), r_star, 0.0, "closed2q", None)
+    return EntanglementResult(_overlap_angle(p), r_star, 0.0, "closed2q", None)
 
 
 def entanglement_exact(n: int, u: float) -> EntanglementResult:
@@ -300,9 +303,7 @@ def entanglement_exact(n: int, u: float) -> EntanglementResult:
         raise DomainError(f"path level must lie in [0, 1], got {point.u!r}")
     roots = extremum_roots(n, point.u)
     p, r_star = _best_real_axis(n, point.u, [0.0, 1.0] + roots)
-    return EntanglementResult(
-        2.0 * math.acos(math.sqrt(p)), r_star, 0.0, "rootfind", len(roots)
-    )
+    return EntanglementResult(_overlap_angle(p), r_star, 0.0, "rootfind", len(roots))
 
 
 def entanglement_approx(n: int, u: float) -> EntanglementResult:
@@ -318,7 +319,7 @@ def entanglement_approx(n: int, u: float) -> EntanglementResult:
         )
     r_m = u / (1.0 - (n - 1) * u)
     p = min(1.0, _overlap_unchecked(n, u, complex(r_m)))
-    return EntanglementResult(2.0 * math.acos(math.sqrt(p)), r_m, 0.0, "approx", None)
+    return EntanglementResult(_overlap_angle(p), r_m, 0.0, "approx", None)
 
 
 def half_way_angle(n: int) -> float:
@@ -371,12 +372,7 @@ def _symmetric_chart_max(coeffs, resolution):
     return p, float(r_grid[ir]), float(chi_grid[ic])
 
 
-def closest_product_overlap(
-    state,
-    n: int,
-    resolution: int = 2048,
-    seed: int = 0,
-):
+def closest_product_overlap(state, n: int, resolution: int = 2048, seed: int = 0):
     """Best squared overlap of ``state`` with any n-qubit product state.
 
     Symmetric states (amplitudes constant on bit-count classes) are solved
@@ -388,6 +384,11 @@ def closest_product_overlap(
 
     Returns ``(p, r_star, chi_star, symmetric)``.
     """
+    return _closest_product(state, n, resolution, seed)[:4]
+
+
+def _closest_product(state, n: int, resolution: int, seed: int):
+    """:func:`closest_product_overlap`'s tuple, plus the product vector found."""
     psi = _ascoords(state)
     _check_qubits(n)
     if psi.size != 1 << n:
@@ -416,14 +417,15 @@ def closest_product_overlap(
         p1, r1, c1 = _symmetric_chart_max(a, resolution)
         # chart 2: per-qubit (1, s), amplitude s^ones(x) with ones(x) = n - zeros(x); v = 1/s
         p2, r2, c2 = _symmetric_chart_max(a[::-1], resolution)
+        # product vectors are normalised as path states are: a product state reads E = 0
         if p1 >= p2:
-            return min(1.0, p1), r1, c1, True
+            return min(1.0, p1), r1, c1, True, _unit(cmath.rect(r1, c1) ** zeros)
         r_star = math.inf if r2 == 0.0 else 1.0 / r2
         chi_star = (-c2) % (2.0 * math.pi)
-        return min(1.0, p2), r_star, chi_star, True
+        return min(1.0, p2), r_star, chi_star, True, _unit(cmath.rect(r2, c2) ** (n - zeros))
 
     rng = np.random.default_rng(seed)
-    best = -1.0
+    best, best_factors = -1.0, None
     best_unconverged = -1.0
     for k in range(_ASCENT_STARTS + 2):
         if k == 0:
@@ -438,29 +440,25 @@ def closest_product_overlap(
             f = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
             f /= np.linalg.norm(f, axis=1, keepdims=True)
         p, _, ok = kernels.product_ascent(psi, n, f, _ASCENT_MAX_SWEEPS, _ASCENT_TOL)
-        if ok:
-            best = max(best, p)
-        else:
+        if not ok:
             best_unconverged = max(best_unconverged, p)
+        elif p > best:
+            best, best_factors = p, f
     if best < 0.0:
         raise ConvergenceError(
             f"product-state ascent on n={n} qubits: none of {_ASCENT_STARTS + 2} "
             f"starts converged in {_ASCENT_MAX_SWEEPS} sweeps; best unconverged "
             f"overlap {best_unconverged:.17g}"
         )
-    return min(1.0, best), math.nan, math.nan, False
+    return min(1.0, best), math.nan, math.nan, False, reduce(np.kron, best_factors)
 
 
 def entanglement_grid_oracle(
     state, n: int, resolution: int = 2048, seed: int = 0
 ) -> EntanglementResult:
-    """Entanglement of an arbitrary state by brute-force product search."""
-    p, r_star, chi_star, _ = closest_product_overlap(
-        state, n, resolution=resolution, seed=seed
-    )
-    return EntanglementResult(
-        2.0 * math.acos(math.sqrt(p)), r_star, chi_star, "oracle", None
-    )
+    """Entanglement of an arbitrary state: its distance to the best product found."""
+    _, r_star, chi_star, _, product = _closest_product(state, n, resolution, seed)
+    return EntanglementResult(fs_distance(state, product), r_star, chi_star, "oracle", None)
 
 
 # ---------------------------------------------------------------------------

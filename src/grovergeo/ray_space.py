@@ -57,6 +57,8 @@ def _norm(z: np.ndarray) -> float:
 
 
 def _unit(arr: np.ndarray) -> np.ndarray:
+    if not np.isfinite(arr).all():  # before the norm, whose |inf|^2 warns
+        raise InvalidRay("coordinates must be finite")
     norm = _norm(arr)
     if norm == 0.0:
         raise InvalidRay("all-zero coordinates do not define a ray")
@@ -198,16 +200,25 @@ def transition_probability(a: Ray | np.ndarray, b: Ray | np.ndarray) -> float:
 
 
 def fs_distance(a: Ray | np.ndarray, b: Ray | np.ndarray) -> float:
-    """Fubini-Study distance 2*arccos|<a|b>| between two rays.
+    """Fubini-Study distance 2*arccos|<a|b>| between two rays, in [0, pi].
 
-    A metric on projective space with values in [0, pi]; pi is attained
-    exactly for orthogonal states.
+    Evaluated as 4*atan2(||x - y||, ||x + y||) on the unit vectors x = a h,
+    y = b conj(h), with h = sqrt(<a|b>/|<a|b>|) (Kahan, 2006, sec. 12), so it
+    resolves distances far below the arccos's 3e-8: it is exactly symmetric,
+    0 from a ray to itself and pi between rays of disjoint support.
     """
-    va, vb = _ascoords(a), _ascoords(b)
+    va, vb = _unit(_ascoords(a)), _unit(_ascoords(b))
     if va.size != vb.size:
         raise DimensionError(f"dimension mismatch: {va.size} vs {vb.size}")
-    overlap = abs(np.vdot(_unit(va), _unit(vb)))
-    return float(2.0 * np.arccos(min(1.0, overlap)))
+    overlap = np.vdot(va, vb)
+    half = np.sqrt(overlap / abs(overlap)) if overlap != 0 else 1.0
+    x, y = va * half, vb * np.conj(half)
+    return 4.0 * math.atan2(_norm(x - y), _norm(x + y))
+
+
+def _overlap_angle(p: float) -> float:
+    """Angle 2 arccos sqrt(p) of a squared overlap, for routes that know only p."""
+    return 2.0 * math.acos(math.sqrt(p))
 
 
 def geodesic_point(p1, p2, s: float) -> UnitVector:
@@ -253,6 +264,8 @@ def horizontality_residual(samples) -> float:
     dim = vecs[0].size
     if any(v.size != dim for v in vecs):
         raise DimensionError("samples must share one dimension")
+    if not all(np.all(np.isfinite(v)) for v in vecs):
+        raise InvalidRay("samples must be finite")
     worst = 0.0
     for va, vb in zip(vecs[:-1], vecs[1:]):
         overlap = np.vdot(va, vb)
@@ -283,6 +296,8 @@ def fs_line_element(psi, dpsi) -> float:
     dv = np.asarray(dpsi, dtype=complex)
     if dv.ndim != 1 or dv.size != v.size:
         raise DimensionError(f"displacement shape {dv.shape} does not match dim {v.size}")
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(dv))):
+        raise InvalidRay("base point and displacement must be finite")
     if abs(_norm(v) - 1.0) > 1e-10:
         raise InvalidRay("base point must be a unit vector")
     cross = np.vdot(v, dv)

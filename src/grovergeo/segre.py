@@ -8,14 +8,16 @@ of an n-qubit ray is decided by recursively splitting off the last qubit.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .ray_space import Ray, canonical_form, _ascoords, _norm
+from .ray_space import Ray, canonical_form, fs_distance, _ascoords, _norm
 
 __all__ = [
     "QuadricSystem",
@@ -136,21 +138,6 @@ def _max_minor_residual(matrix: np.ndarray) -> float:
     return worst
 
 
-def _rebuild_distance(rebuilt: np.ndarray, original: np.ndarray) -> float:
-    """Fubini-Study distance from ``rebuilt`` to the unit vector ``original``.
-
-    Equals 2*arccos|<a|b>| for a = original, b = rebuilt, but is evaluated
-    as 4*arcsin(||a - c b|| / 2), with b scaled to unit norm and
-    c = <b|a>/|<b|a>| aligning its phase:
-    arccos cannot resolve distances below about 1e-7, where |<a|b>|
-    rounds to 1.
-    """
-    overlap = np.vdot(rebuilt, original)
-    phase = overlap / abs(overlap) if overlap != 0 else 1.0
-    gap = _norm(original - phase * rebuilt / _norm(rebuilt))
-    return float(4.0 * np.arcsin(min(1.0, gap / 2.0)))
-
-
 def max_quadric_residual(r: Ray, m: int, m_prime: int) -> float:
     """Largest constraint violation of a ray against the (m, m') quadrics.
 
@@ -173,13 +160,11 @@ def is_fully_separable(r: Ray, n: int, tol: float = 1e-9) -> SeparabilityReport:
     if n < 1:
         raise DomainError(f"qubit count {n} must be >= 1")
     tol = float(tol)
-    if tol <= 0.0:
-        raise DomainError("tolerance must be positive")
-    z = canonical_form(r).coords
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tolerance must be positive and finite, got {tol!r}")
+    z = original = canonical_form(r).coords
     if z.size != 1 << n:
         raise DimensionError(f"ray dimension {z.size} != 2^{n}")
-
-    original = z
     factors_last_first = []
     worst = 0.0
     for _ in range(n - 1):
@@ -199,10 +184,8 @@ def is_fully_separable(r: Ray, n: int, tol: float = 1e-9) -> SeparabilityReport:
     factors_last_first.append(Ray(z))
     factors = tuple(reversed(factors_last_first))
 
-    rebuilt = factors[0].coords
-    for f in factors[1:]:
-        rebuilt = np.kron(rebuilt, f.coords)
-    if _rebuild_distance(rebuilt, original) > max(1e-8, 100.0 * tol):
+    rebuilt = reduce(np.kron, (f.coords for f in factors))
+    if fs_distance(rebuilt, original) > max(1e-8, 100.0 * tol):
         return SeparabilityReport(False, worst, None)
     return SeparabilityReport(True, worst, factors)
 
@@ -223,6 +206,8 @@ def grover_separability_residual(N: int, phi) -> float | np.ndarray:
     if N > sys.float_info.max:  # N - 1.0 would overflow
         raise DomainError(f"state space size of {N.bit_length()} bits does not fit a float")
     phi = np.asarray(phi, dtype=float)
+    if not np.all(np.isfinite(phi)):
+        raise DomainError("mixing angle must be finite")
     c, s = np.cos(phi), np.sin(phi)
     residual = np.abs(c * s / np.sqrt(N - 1.0) - c * c / (N - 1.0))
     return float(residual) if residual.ndim == 0 else residual

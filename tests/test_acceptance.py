@@ -295,7 +295,7 @@ def test_11_geometry_suite():
 
     ok = (
         gauge <= 1e-12
-        and identity <= 1e-7
+        and identity == 0.0
         and symmetry <= 1e-12
         and triangle <= 1e-9
         and additivity <= 1e-9

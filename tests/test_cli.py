@@ -76,11 +76,11 @@ class TestCsvEnvelope:
 # sha256 of the exact stdout; between them these cover the int columns, the
 # blank root_count, the ``all`` header and the -0.0 fold
 _GOLDEN_STDOUT = {
-    "grover-trace --n 2 --target 3 --kmax 2": "e479dca06a5daf063bc3078a1dbc88446ebc51e43d637181f8d78671dad655cd",
+    "grover-trace --n 2 --target 3 --kmax 2": "0deb9e0688a422cacba264d3a2410a1e6a65cd53edfcc45d3380098a228a7ec0",
     "entangle-sweep --n 3 --points 5 --method exact": "f2ba3ea49f3e25015787b046b606ea83cb47ad4ad643c7508d2cad025f7b4b4c",
     "entangle-sweep --n 3 --points 5 --method approx": "155155e355a881310c27f7db0caa60da8f12df2067c47c1c4e1172868ae44fc7",
-    "entangle-sweep --n 3 --points 5 --method oracle": "dd3ff47c11f1f96d47022108f11ea9b6de9bce4779b2e7d29480bff9213ab855",
-    "entangle-sweep --n 3 --points 5 --method all": "f318fb835a3bf0e5d166a441218b3f7c44a9959a4f34134b4ac1a4ee81a43f77",
+    "entangle-sweep --n 3 --points 5 --method oracle": "b790ef5b850688920b143b3ac34d0a1f410150b365108306d1621c3cc4f80753",
+    "entangle-sweep --n 3 --points 5 --method all": "1f4988f91e0850245b5f581b4ba3e74c370a494d48e18a8c614df783e2f584c6",
     "measure-compare --points 9": "059efdccc873bf1d1aafbb10e7c21f00d7cf40e97a145e0891a0f79148504be9",
     "search-time --points 7": "bc80ba7295a8db38e9c16c66075696fafc901da58006e72e3e4ea29282972357",
     "separability --n 4 --points 7": "b2a8dca5c66ab027cd64e7c3d824140421e7b369d6e3ffaf6bf56484e2026a49",

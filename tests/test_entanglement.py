@@ -385,6 +385,30 @@ class TestOracle:
         assert down.value == 0.0
         assert down.r_star == 0.0
 
+    def test_product_states_read_exactly_zero(self):
+        # E is the distance to the best product vector, not 2*acos(sqrt(p)),
+        # which reads 3e-8 when p is one ulp below 1
+        assert entanglement_grid_oracle(grover_path_ray(7, 1.0), 7, resolution=64).value == 0.0
+        rng = np.random.default_rng(6)
+        f = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+        psi = f[0]
+        for row in f[1:]:
+            psi = np.kron(psi, row)
+        res = entanglement_grid_oracle(psi, 5)
+        assert np.isnan(res.r_star)  # general branch taken
+        assert res.value <= 1e-14
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_value_is_the_angle_of_the_overlap(self, symmetric):
+        rng = np.random.default_rng(7)
+        psi = grover_path_ray(4, 0.3).coords
+        if not symmetric:
+            psi = psi + 0.1 * rng.normal(size=16)
+        p, _, _, sym = closest_product_overlap(psi, 4, resolution=256)
+        assert sym == symmetric
+        res = entanglement_grid_oracle(psi, 4, resolution=256)
+        assert res.value == pytest.approx(2.0 * np.arccos(np.sqrt(p)), abs=1e-12)
+
     def test_w_state_symmetric_chart(self):
         w = np.zeros(8, dtype=complex)
         w[1] = w[2] = w[4] = 3**-0.5

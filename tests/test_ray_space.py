@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grovergeo
 from grovergeo import (
@@ -145,7 +147,7 @@ class TestMetric:
             dab = fs_distance(a, b)
             assert dab == fs_distance(b, a)
             assert 0.0 <= dab <= np.pi + 1e-15
-            assert fs_distance(a, a) <= 1e-7  # arccos noise near overlap 1
+            assert fs_distance(a, a) == 0.0
             assert fs_distance(a, c) <= dab + fs_distance(b, c) + 1e-12
 
     def test_phase_invariance(self):
@@ -156,13 +158,96 @@ class TestMetric:
         np.testing.assert_allclose(d, d2, atol=1e-13)
 
     def test_antipodal_distance_is_pi(self):
-        assert fs_distance(Ray([1.0, 0.0]), Ray([0.0, 1.0])) == pytest.approx(np.pi)
+        assert fs_distance(Ray([1.0, 0.0]), Ray([0.0, 1.0])) == np.pi
+        assert fs_distance([0.6, 0.8j, 0.0, 0.0], [0.0, 0.0, 2.0 - 1.0j, 3.0]) == np.pi
+
+    def test_resolves_rays_a_billionth_apart(self):
+        # 2*arccos|<a|b>| reads 0 here: |<a|b>| rounds to 1
+        assert fs_distance([1.0, 1e-9], [1.0, 0.0]) == pytest.approx(2e-9, rel=1e-6)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             fs_distance(Ray([1.0, 0.0]), Ray([1.0, 0.0, 0.0]))
         with pytest.raises(DimensionError):
             transition_probability(Ray([1.0, 0.0]), Ray([1.0, 0.0, 0.0]))
+
+
+_COORDINATE = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+def _vectors(dim):
+    """Complex vectors of length ``dim`` whose norm neither underflows nor vanishes."""
+    vector = st.lists(_COORDINATE, min_size=dim, max_size=dim).map(
+        lambda z: np.array(z, dtype=complex)
+    )
+    return vector.filter(lambda v: np.max(np.abs(v)) >= 1e-3)
+
+
+_SCALE = st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+_PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=100)
+
+
+class TestDistanceProperties:
+    @_PROPERTY_SETTINGS
+    @given(st.integers(2, 16).flatmap(lambda d: st.tuples(_vectors(d), _vectors(d), _vectors(d))))
+    def test_metric_axioms(self, trio):
+        a, b, c = trio
+        assert fs_distance(a, a) == 0.0
+        assert fs_distance(a, b) == fs_distance(b, a)
+        assert 0.0 <= fs_distance(a, b) <= np.pi
+        assert fs_distance(a, c) <= fs_distance(a, b) + fs_distance(b, c) + 1e-14
+
+    @_PROPERTY_SETTINGS
+    @given(st.integers(2, 16).flatmap(lambda d: st.tuples(_vectors(d), _vectors(d))), _SCALE, _SCALE)
+    def test_invariant_under_complex_scale(self, pair, lam, mu):
+        a, b = pair
+        d = fs_distance(a, b)
+        assert fs_distance(lam * a, b) == pytest.approx(d, abs=1e-14)
+        assert fs_distance(a, mu * b) == pytest.approx(d, abs=1e-14)
+
+    @_PROPERTY_SETTINGS
+    @given(
+        st.integers(1, 8).flatmap(_vectors),
+        st.integers(1, 8).flatmap(_vectors),
+        st.floats(1e-15, 1e-3),
+    )
+    def test_unit_tilt_reads_twice_its_angle(self, head, tail, eps):
+        # a and w are orthonormal by disjoint support: no bit of the tilt is
+        # lost in a's coordinates
+        a = np.concatenate([head / np.linalg.norm(head), np.zeros(tail.size)])
+        w = np.concatenate([np.zeros(head.size), tail / np.linalg.norm(tail)])
+        tilted = np.cos(eps) * a + np.sin(eps) * w
+        assert fs_distance(a, tilted) == pytest.approx(2.0 * eps, rel=1e-6)
+
+
+_NORMALISING_CALLS = {
+    "fs_distance": lambda bad: fs_distance([1.0, 0.0], bad),
+    "transition_probability": lambda bad: transition_probability(bad, [1.0, 0.0]),
+    "canonical_form": canonical_form,
+    "inhomogeneous": lambda bad: inhomogeneous(bad, 1),
+}
+
+
+class TestNonFinite:
+    # rejected before the norm, whose |inf|^2 would warn
+    @pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]])
+    @pytest.mark.parametrize("name", sorted(_NORMALISING_CALLS))
+    def test_normalising_functions_reject(self, name, bad):
+        with pytest.raises(InvalidRay):
+            _NORMALISING_CALLS[name](bad)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_horizontality_rejects_a_non_finite_sample(self, bad):
+        p = UnitVector(np.eye(2)[0])
+        with pytest.raises(InvalidRay):
+            horizontality_residual([p, [1.0, bad], p])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_line_element_rejects_non_finite_input(self, bad):
+        with pytest.raises(InvalidRay):
+            fs_line_element([1.0, 0.0], [0.0, bad])
+        with pytest.raises(InvalidRay):
+            fs_line_element([bad, 0.0], [0.0, 1.0])
 
 
 class TestGeodesic:

@@ -17,7 +17,7 @@ from grovergeo import (
     segre_embed,
 )
 from grovergeo.errors import DimensionError, DomainError
-from grovergeo.segre import _max_minor_residual, _rebuild_distance
+from grovergeo.segre import _max_minor_residual
 
 
 def _rand_ray(rng, dim):
@@ -233,16 +233,19 @@ class TestFullSeparability:
             assert fs_distance(Ray(want), got) < 1e-6
 
     def test_rebuild_distance_resolves_near_zero(self):
+        # the rebuild is checked by fs_distance, which matches 2*arccos|<a|b>|
+        # where that resolves and stays exact where it reads 0
         rng = np.random.default_rng(5)
         a = rng.normal(size=8) + 1j * rng.normal(size=8)
         a /= np.linalg.norm(a)
         b = rng.normal(size=8) + 1j * rng.normal(size=8)
-        assert _rebuild_distance(b, a) == pytest.approx(fs_distance(b, a), abs=1e-12)
+        want = 2.0 * np.arccos(abs(np.vdot(a, b)) / np.linalg.norm(b))
+        assert fs_distance(b, a) == pytest.approx(want, abs=1e-12)
         # a unit-norm tilt by angle eps off a: the Fubini-Study distance is 2*eps
         eps = 1e-12
         w = b - np.vdot(a, b) * a
         tilted = (np.cos(eps) * a + np.sin(eps) * w / np.linalg.norm(w)) * (2.0 - 1.0j)
-        assert _rebuild_distance(tilted, a) == pytest.approx(2.0 * eps, rel=1e-3)
+        assert fs_distance(tilted, a) == pytest.approx(2.0 * eps, rel=1e-3)
 
     def test_validation(self):
         with pytest.raises(DimensionError):
@@ -251,6 +254,12 @@ class TestFullSeparability:
             is_fully_separable(Ray(np.ones(4)), 0)
         with pytest.raises(DomainError):
             is_fully_separable(Ray(np.ones(4)), 2, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # an infinite tolerance would accept the Bell state
+        with pytest.raises(DomainError):
+            is_fully_separable(Ray([1.0, 0.0, 0.0, 1.0]), 2, tol=tol)
 
 
 class TestGroverSeparabilityResidual:
@@ -282,6 +291,11 @@ class TestGroverSeparabilityResidual:
             grover_separability_residual(2, 0.3)
         with pytest.raises(DomainError):
             grover_separability_residual(2**1100, 0.3)  # N - 1.0 overflows
+
+    @pytest.mark.parametrize("phi", [np.inf, -np.inf, np.nan, np.array([0.3, np.nan]), [np.inf, 0.3]])
+    def test_non_finite_angle_rejected(self, phi):
+        with pytest.raises(DomainError):
+            grover_separability_residual(16, phi)
 
     @pytest.mark.parametrize("n", [2, 12, 1023])
     def test_array_matches_scalar_calls(self, n):
