@@ -32,7 +32,7 @@ from .grover_engine import (
 from .ray_space import Ray, fs_distance
 from .segre import grover_separability_residual, max_quadric_residual
 
-_ORACLE_RESOLUTION = 1024
+_ORACLE_MAX_QUBITS = 14
 _SEPARABILITY_MAX_QUBITS = 1023  # 2**n - 1 must convert to a float
 
 
@@ -136,7 +136,7 @@ def grover_trace(n, target, kmax):
 
 
 @_command("entangle-sweep")
-@click.option("--n", type=int, required=True, help="Number of qubits (1..24; oracle sweeps <= 8).")
+@click.option("--n", type=int, required=True, help=f"Number of qubits (1..{_MAX_QUBITS}; oracle sweeps <= {_ORACLE_MAX_QUBITS}).")
 @click.option("--points", type=click.IntRange(min=2), default=100, show_default=True, help="Grid size.")
 @click.option(
     "--method",
@@ -148,20 +148,18 @@ def grover_trace(n, target, kmax):
 def entangle_sweep(n, points, method, seed):
     """Sweep entanglement along the search path at uniform path angles."""
     _check_n(n, 1, _MAX_QUBITS)
-    if method in ("oracle", "all") and n > 8:
-        raise click.UsageError(f"oracle sweeps support n <= 8, got n={n}")
+    if method in ("oracle", "all") and n > _ORACLE_MAX_QUBITS:
+        raise click.UsageError(f"oracle sweeps support n <= {_ORACLE_MAX_QUBITS}, got n={n}")
     ts = _angle_grid(n, points)
     config = {"n": n, "points": points, "method": method, "seed": seed}
     if method in ("oracle", "all"):
-        config["resolution"] = _ORACLE_RESOLUTION
+        config["resolution"] = ent._ORACLE_RESOLUTION
 
     # looked up through ``ent`` at call time, so wrappers installed on the module are seen
     routes = {
         "exact": lambda t, u: ent.entanglement_exact(n, u),
         "approx": lambda t, u: ent.entanglement_approx_curve(n, t),
-        "oracle": lambda t, u: ent.entanglement_grid_oracle(
-            ent.grover_path_ray(n, u), n, resolution=_ORACLE_RESOLUTION, seed=seed
-        ),
+        "oracle": lambda t, u: ent.entanglement_grid_oracle(ent.grover_path_ray(n, u), n, seed=seed),
     }
     columns = [("t", "radians"), ("u", "dimensionless")]
     if method == "all":

@@ -5,7 +5,8 @@ single marked basis state: every unmarked amplitude equals a common level
 ``u`` while the marked amplitude is 1 (before normalization).  Their
 distance to the nearest product state is computed four independent ways --
 a two-qubit closed form, a stationarity root-finder, a small-``u``
-approximation, and a brute-force oracle that never assumes symmetry -- and
+approximation, and an oracle that searches the product states directly and
+never assumes the path structure -- and
 the module also carries the pairwise measures (concurrence, residual
 entropy) used to cross-check the two-qubit case.
 
@@ -19,7 +20,6 @@ vector, exact near 0; the other routes know only ``P`` and convert it.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -67,6 +67,11 @@ _ASCENT_TOL = 1e-13
 _ASCENT_STARTS = 32  # random starts, beside the uniform and the greedy one
 _ASCENT_MAX_SWEEPS = 500
 _NEAR_REAL = 1e-6  # companion roots of a close real pair may split off the axis
+_ORACLE_RESOLUTION = 64  # coarse (r, chi) grid size of each symmetric chart
+_POLISH_STARTS = 4  # local maxima of each chart's grid polished by Newton steps
+_POLISH_STEPS = 40
+_POLISH_TOL = 1e-15  # largest step of a converged polish
+_POLISH_SHIFT = 1e-9  # relative curvature kept along a flat direction
 
 
 def _zeros_per_index(n: int) -> np.ndarray:
@@ -355,32 +360,67 @@ def critical_qubit_number() -> float:
     return 4.0 + 2.0 * math.sqrt(2.0)
 
 
-def _symmetric_chart_max(coeffs, resolution):
+def _phase(v: complex) -> float:
+    """Argument of ``v`` in [0, 2 pi); 0 at v = 0."""
+    chi = math.atan2(v.imag, v.real) % (2.0 * math.pi)
+    return 0.0 if chi == 2.0 * math.pi else chi  # a tiny negative angle rounds up to 2 pi
+
+
+def _polish(coeffs: list[complex], v: complex, max_step: float) -> complex:
+    """Newton ascent of L = log(|p(v)|^2 / (1+|v|^2)^n) from the start ``v``.
+
+    Each step solves the stationarity condition dL/dv = 0 of the quadratic
+    model built from the Wirtinger derivatives w = dL/dv, alpha = d2L/dv2
+    and beta = d2L/dv dv* < 0.  Beta is shifted below -|alpha|, so the model
+    is concave and every step ascends; along a flat direction (a ring of
+    maxima) the step stays small.  A step moves at most ``max_step``, and the
+    iterate is clipped to the chart's disk |v| <= 1.  It runs in scalar
+    complex arithmetic, which for a few starts costs less than numpy calls.
+    """
+    n = len(coeffs) - 1
+    for _ in range(_POLISH_STEPS):
+        p, dp, half_d2p = coeffs[n], 0j, 0j
+        for c in reversed(coeffs[:n]):  # Horner for p, p' and p''/2
+            half_d2p = half_d2p * v + dp
+            dp = dp * v + p
+            p = p * v + c
+        q = 1.0 + (v.real * v.real + v.imag * v.imag)
+        vq = v.conjugate() / q
+        w = dp / p - n * vq
+        alpha = (2.0 * half_d2p * p - dp * dp) / (p * p) + n * vq * vq
+        beta = min(-n / (q * q), -(1.0 + _POLISH_SHIFT) * abs(alpha))
+        step = (alpha.conjugate() * w - beta * w.conjugate()) / (beta * beta - abs(alpha) ** 2)
+        step *= max_step / max(abs(step), max_step)
+        moved, v = v, v + step
+        if abs(v) > 1.0:
+            v /= abs(v)
+        if abs(v - moved) <= _POLISH_TOL:
+            break
+    return v
+
+
+def _chart_candidates(coeffs, resolution):
+    """Chart points v of the coarse grid's best cell, then of its polished local maxima."""
     r_grid = np.linspace(0.0, 1.0, resolution)
     chi_grid = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-    p, ir, ic = kernels.poly_grid_max(coeffs, r_grid, chi_grid)
-    # refine: 256 x 256 pass over one coarse cell around the winner
-    dr = r_grid[1] - r_grid[0]
-    dc = chi_grid[1] - chi_grid[0]
-    r_fine = np.linspace(
-        max(0.0, r_grid[ir] - dr), min(1.0, r_grid[ir] + dr), 256
-    )
-    chi_fine = np.linspace(chi_grid[ic] - dc, chi_grid[ic] + dc, 256)
-    p2, jr, jc = kernels.poly_grid_max(coeffs, r_fine, chi_fine)
-    if p2 >= p:
-        return p2, float(r_fine[jr]), float(chi_fine[jc])
-    return p, float(r_grid[ir]), float(chi_grid[ic])
+    *_, peaks = kernels.poly_grid_max(coeffs, r_grid, chi_grid, peaks=_POLISH_STARTS)
+    starts = (r_grid[peaks[:, 0]] * np.exp(1j * chi_grid[peaks[:, 1]])).tolist()
+    polished = [_polish(coeffs.tolist(), v, r_grid[1]) for v in starts]
+    return np.array(starts[:1] + polished)
 
 
-def closest_product_overlap(state, n: int, resolution: int = 2048, seed: int = 0):
+def closest_product_overlap(state, n: int, resolution: int = _ORACLE_RESOLUTION, seed: int = 0):
     """Best squared overlap of ``state`` with any n-qubit product state.
 
-    Symmetric states (amplitudes constant on bit-count classes) are solved
-    by exhaustive grids in both inhomogeneous charts of the single-qubit
-    sphere, then a local refinement; the returned coordinates (r, chi) are
-    the per-qubit point (r e^{i chi}, 1), with r = inf meaning the product
-    |00...0>.  General states fall back to multistart per-qubit coordinate
-    ascent and return NaN coordinates.
+    Symmetric states (amplitudes constant on bit-count classes) have a
+    symmetric closest product state.  It is found on a coarse
+    ``resolution`` x ``resolution`` (r, chi) grid in both inhomogeneous
+    charts of the single-qubit sphere, whose best local maxima are then
+    polished by Newton steps; the grid winner and the polished points are
+    ranked by their ``fs_distance`` to the state.  The returned coordinates
+    (r, chi) are the per-qubit point (r e^{i chi}, 1), chi in [0, 2 pi),
+    with r = inf meaning the product |00...0>.  General states fall back to
+    multistart per-qubit coordinate ascent and return NaN coordinates.
 
     Returns ``(p, r_star, chi_star, symmetric)``.
     """
@@ -414,15 +454,18 @@ def _closest_product(state, n: int, resolution: int, seed: int):
         # chart 1: per-qubit (v, 1), amplitude v^zeros(x)
         a = np.zeros(n + 1, dtype=np.complex128)
         np.add.at(a, zeros, np.conj(psi))
-        p1, r1, c1 = _symmetric_chart_max(a, resolution)
+        v1 = _chart_candidates(a, resolution)
         # chart 2: per-qubit (1, s), amplitude s^ones(x) with ones(x) = n - zeros(x); v = 1/s
-        p2, r2, c2 = _symmetric_chart_max(a[::-1], resolution)
-        # product vectors are normalised as path states are: a product state reads E = 0
-        if p1 >= p2:
-            return min(1.0, p1), r1, c1, True, _unit(cmath.rect(r1, c1) ** zeros)
-        r_star = math.inf if r2 == 0.0 else 1.0 / r2
-        chi_star = (-c2) % (2.0 * math.pi)
-        return min(1.0, p2), r_star, chi_star, True, _unit(cmath.rect(r2, c2) ** (n - zeros))
+        s2 = _chart_candidates(a[::-1], resolution)
+        products = [_unit(v**zeros) for v in v1] + [_unit(s ** (n - zeros)) for s in s2]
+        k = int(np.argmin([fs_distance(psi, product) for product in products]))
+        if k < v1.size:
+            r_star, chi_star = abs(v1[k]), _phase(v1[k])
+        else:
+            s = s2[k - v1.size]
+            r_star, chi_star = (math.inf if s == 0 else 1.0 / abs(s)), _phase(s.conjugate())
+        p = min(1.0, abs(np.vdot(products[k], psi)) ** 2)
+        return p, float(r_star), chi_star, True, products[k]
 
     rng = np.random.default_rng(seed)
     best, best_factors = -1.0, None
@@ -454,7 +497,7 @@ def _closest_product(state, n: int, resolution: int, seed: int):
 
 
 def entanglement_grid_oracle(
-    state, n: int, resolution: int = 2048, seed: int = 0
+    state, n: int, resolution: int = _ORACLE_RESOLUTION, seed: int = 0
 ) -> EntanglementResult:
     """Entanglement of an arbitrary state: its distance to the best product found."""
     _, r_star, chi_star, _, product = _closest_product(state, n, resolution, seed)

@@ -1,8 +1,8 @@
 """The two hot numerical kernels, in vectorized numpy.
 
-Two inner loops dominate the package's runtime: the exhaustive (r, chi)
-grid maximization of a polynomial overlap, and the per-qubit coordinate
-ascent toward the closest product state.
+Two inner loops dominate the package's runtime: the (r, chi) grid
+maximization of a polynomial overlap, and the per-qubit coordinate ascent
+toward the closest product state.
 """
 from __future__ import annotations
 
@@ -13,18 +13,25 @@ import numpy as np
 __all__ = ["poly_grid_max", "product_ascent"]
 
 
-def poly_grid_max(coeffs, r_grid, chi_grid):
+def poly_grid_max(coeffs, r_grid, chi_grid, peaks=0):
     """Maximize |poly(v)|^2 / (1+r^2)^deg over the grid v = r e^{i chi}.
 
     ``coeffs`` holds the polynomial coefficients, constant term first; its
     degree fixes the normalizing power.  Returns (best value, r index,
     chi index); ties resolve to the lowest r index, then lowest chi index.
+    With ``peaks`` > 0 a fourth element is returned: the (r index, chi
+    index) rows of up to ``peaks`` local maxima of the grid, highest first,
+    a cell counting as one when none of its eight neighbours is higher.
+    The grid is then taken as polar: ``chi_grid`` spans one full turn, so
+    the chi axis wraps, and a row at r = 0 is the one point v = 0, whose
+    neighbours are the whole next row.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     r_grid = np.ascontiguousarray(r_grid, dtype=np.float64)
     chi_grid = np.ascontiguousarray(chi_grid, dtype=np.float64)
     deg = coeffs.size - 1
     phases = np.exp(1j * chi_grid)
+    values = np.empty((r_grid.size, chi_grid.size)) if peaks > 0 else None
     best_p, best_ir, best_ic = -1.0, 0, 0
     # chunk rows to bound the temporary grid arrays at a few million entries
     chunk = max(1, 4_000_000 // max(chi_grid.size, 1))
@@ -37,11 +44,36 @@ def poly_grid_max(coeffs, r_grid, chi_grid):
             acc += coeffs[z]
         denom = (1.0 + rows * rows) ** deg
         p = (acc.real**2 + acc.imag**2) / denom[:, None]
+        if values is not None:
+            values[start : start + rows.size] = p
         flat = int(np.argmax(p))
         ir, ic = divmod(flat, chi_grid.size)
         if p[ir, ic] > best_p:
             best_p, best_ir, best_ic = float(p[ir, ic]), start + ir, ic
-    return best_p, best_ir, best_ic
+    if values is None:
+        return best_p, best_ir, best_ic
+    return best_p, best_ir, best_ic, _local_maxima(values, peaks, r_grid[0] == 0.0)
+
+
+def _local_maxima(values, count, origin):
+    """(row, column) indices of the ``count`` highest local maxima; columns wrap.
+
+    With ``origin`` set, row 0 is a single point, kept once at column 0.
+    """
+    padded = np.pad(values, ((1, 1), (1, 1)), mode="wrap")
+    padded[0, :] = padded[-1, :] = -np.inf  # rows do not wrap
+    rows, cols = values.shape
+    is_peak = np.ones(values.shape, dtype=bool)
+    for dr in (0, 1, 2):
+        for dc in (0, 1, 2):
+            if (dr, dc) != (1, 1):
+                is_peak &= values >= padded[dr : dr + rows, dc : dc + cols]
+    if origin:
+        is_peak[0, 1:] = False
+        is_peak[0, 0] = values[0, 0] >= values[1:2].max(initial=-np.inf)
+    ir, ic = np.nonzero(is_peak)
+    order = np.argsort(-values[ir, ic], kind="stable")[:count]
+    return np.stack([ir[order], ic[order]], axis=1)
 
 
 def product_ascent(psi, n, factors, max_sweeps, tol):

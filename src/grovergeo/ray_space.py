@@ -227,7 +227,7 @@ def geodesic_point(p1, p2, s: float) -> UnitVector:
     Parameters
     ----------
     p1, p2 : UnitVector or array_like
-        Orthonormal endpoints: unit norm, <p1|p2> = 0 within 1e-10.
+        Orthonormal endpoints: finite, unit norm, <p1|p2> = 0 within 1e-10.
     s : float
         Arc length in [0, pi].  The curve cos(s/2) p1 + sin(s/2) p2 is the
         horizontal unit-speed geodesic with fs_distance(.,p1) = s.
@@ -239,6 +239,8 @@ def geodesic_point(p1, p2, s: float) -> UnitVector:
     v1, v2 = _ascoords(p1), _ascoords(p2)
     if v1.size != v2.size:
         raise DimensionError(f"dimension mismatch: {v1.size} vs {v2.size}")
+    if not (np.isfinite(v1).all() and np.isfinite(v2).all()):  # before the norm, whose |inf|^2 warns
+        raise InvalidRay("geodesic endpoints must be finite")
     if abs(_norm(v1) - 1.0) > 1e-10 or abs(_norm(v2) - 1.0) > 1e-10:
         raise GeodesicBasisError("geodesic endpoints must be unit vectors")
     if abs(np.vdot(v1, v2)) > 1e-10:

@@ -100,7 +100,7 @@ def test_04_oracle_agrees_with_root_finding():
     for n in range(2, 9):
         for u in np.linspace(0.0, 1.0, 20):
             e = entanglement_exact(n, u).value
-            o = entanglement_grid_oracle(grover_path_ray(n, u), n, resolution=2048).value
+            o = entanglement_grid_oracle(grover_path_ray(n, u), n).value
             worst = max(worst, abs(e - o))
     ok = worst <= 2e-3
     _line("04 oracle equivalence", ok, f"max |exact - oracle| = {worst:.3e} over n=2..8")

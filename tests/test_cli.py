@@ -79,8 +79,8 @@ _GOLDEN_STDOUT = {
     "grover-trace --n 2 --target 3 --kmax 2": "0deb9e0688a422cacba264d3a2410a1e6a65cd53edfcc45d3380098a228a7ec0",
     "entangle-sweep --n 3 --points 5 --method exact": "f2ba3ea49f3e25015787b046b606ea83cb47ad4ad643c7508d2cad025f7b4b4c",
     "entangle-sweep --n 3 --points 5 --method approx": "155155e355a881310c27f7db0caa60da8f12df2067c47c1c4e1172868ae44fc7",
-    "entangle-sweep --n 3 --points 5 --method oracle": "b790ef5b850688920b143b3ac34d0a1f410150b365108306d1621c3cc4f80753",
-    "entangle-sweep --n 3 --points 5 --method all": "1f4988f91e0850245b5f581b4ba3e74c370a494d48e18a8c614df783e2f584c6",
+    "entangle-sweep --n 3 --points 5 --method oracle": "81a33680e9ac4def27f7eb422ed7bdd072c1529d1a03849cf0e4bd0a13623326",
+    "entangle-sweep --n 3 --points 5 --method all": "4f77450d4bca58f0efcac441042015a03b4db183cbe7f340e1e8ff0e6a3e7c6a",
     "measure-compare --points 9": "059efdccc873bf1d1aafbb10e7c21f00d7cf40e97a145e0891a0f79148504be9",
     "search-time --points 7": "bc80ba7295a8db38e9c16c66075696fafc901da58006e72e3e4ea29282972357",
     "separability --n 4 --points 7": "b2a8dca5c66ab027cd64e7c3d824140421e7b369d6e3ffaf6bf56484e2026a49",
@@ -207,16 +207,26 @@ class TestEntangleSweep:
         assert res.exit_code == 0
         headers, columns, rows = parse_csv(res.stdout)
         assert columns == ["t", "u", "E_exact", "E_approx", "E_oracle"]
-        assert headers[2] == "# config: n=2 points=5 method=all seed=0 resolution=1024"
+        assert headers[2] == "# config: n=2 points=5 method=all seed=0 resolution=64"
         for r in rows:
             e_exact, e_oracle = float(r[2]), float(r[4])
             assert e_oracle == pytest.approx(e_exact, abs=2e-3)
 
     def test_oracle_qubit_cap(self, runner):
         res = runner.invoke(
-            main, ["entangle-sweep", "--n", "9", "--points", "3", "--method", "oracle"]
+            main, ["entangle-sweep", "--n", "15", "--points", "3", "--method", "oracle"]
         )
         assert res.exit_code == 2
+
+    def test_oracle_sweep_at_the_cap_matches_the_exact_route(self, runner):
+        res = runner.invoke(
+            main, ["entangle-sweep", "--n", "14", "--points", "5", "--method", "all"]
+        )
+        assert res.exit_code == 0
+        _, _, rows = parse_csv(res.stdout)
+        assert len(rows) == 5
+        for r in rows:
+            assert abs(float(r[4]) - float(r[2])) <= 1e-10
 
     def test_exact_sweep_allows_larger_n(self, runner):
         res = runner.invoke(main, ["entangle-sweep", "--n", "10", "--points", "3"])

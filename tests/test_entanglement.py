@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grovergeo import (
@@ -18,6 +18,7 @@ from grovergeo import (
     entanglement_exact_2q,
     entanglement_grid_oracle,
     extremum_roots,
+    fs_distance,
     grover_path_ray,
     half_way_angle,
     kernels,
@@ -350,7 +351,64 @@ class TestApproxCurve:
             entanglement_approx_curve(4, 0.05)
 
 
+def _brute_force_grid_overlap(psi, n, resolution=256):
+    """Best squared overlap of a symmetric state with the products on a plain grid.
+
+    A low-resolution reference for the oracle: both charts evaluated on a
+    ``resolution`` x ``resolution`` (r, chi) grid, with no polish.
+    """
+    zeros = np.array([n - bin(x).count("1") for x in range(1 << n)])
+    coeffs = np.zeros(n + 1, dtype=complex)
+    np.add.at(coeffs, zeros, np.conj(psi) / np.linalg.norm(psi))
+    r = np.linspace(0.0, 1.0, resolution)
+    chi = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
+    return max(kernels.poly_grid_max(c, r, chi)[0] for c in (coeffs, coeffs[::-1]))
+
+
+_CLASS_AMPLITUDE = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
 class TestOracle:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(
+        n=st.integers(2, 14),
+        classes=st.lists(_CLASS_AMPLITUDE, min_size=15, max_size=15),
+        path_level=st.none() | st.floats(0.0, 1.0),
+    )
+    def test_polish_beats_a_brute_force_grid(self, n, classes, path_level):
+        zeros = np.array([n - bin(x).count("1") for x in range(1 << n)])
+        if path_level is None:
+            amplitudes = np.array(classes[: n + 1])
+            assume(np.max(np.abs(amplitudes)) >= 1e-3)
+            psi = amplitudes[zeros]
+        else:
+            psi = grover_path_ray(n, path_level).coords
+        for state in (psi, psi[::-1]):  # the bit flip swaps the two charts
+            p = closest_product_overlap(state, n)[0]
+            assert p >= _brute_force_grid_overlap(state, n) - 1e-15
+        if path_level is not None:
+            exact = entanglement_exact(n, path_level)
+            oracle = entanglement_grid_oracle(psi, n)
+            # the exact route's 2 acos(sqrt(P)) resolves E only to about 1e-15 / E, so
+            # below E = 1e-3 the oracle is held to the distance of that route's product
+            assert oracle.value <= fs_distance(psi, CoherentProduct(n, exact.r_star).ray()) + 1e-15
+            if exact.value >= 1e-3:
+                assert abs(oracle.value - exact.value) <= 1e-10
+
+    def test_path_state_phase_lies_in_one_turn(self):
+        for n in range(2, 9):
+            for u in np.linspace(0.0, 1.0, 20):
+                chi = entanglement_grid_oracle(grover_path_ray(n, u), n).chi_star
+                assert 0.0 <= chi < 2.0 * np.pi
+
+    def test_polish_reaches_the_exact_value(self):
+        # the second row of entangle-sweep --n 3 --points 5; a refine grid that
+        # skipped chi = 0 read E 2.4e-9 too high here
+        u = 0.48327488912095812
+        res = entanglement_grid_oracle(grover_path_ray(3, u), 3)
+        assert res.chi_star == 0.0
+        assert abs(res.value - entanglement_exact(3, u).value) <= 1e-12
+
     def test_agrees_with_exact_on_path_states(self):
         rng = np.random.default_rng(0)
         for n in [2, 3, 5]:

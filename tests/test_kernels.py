@@ -56,6 +56,26 @@ class TestPolyGridMax:
         assert p == pytest.approx(0.5, rel=1e-12)
 
 
+    def test_peaks_are_the_polar_local_maxima(self):
+        # |0.5 + v^3|^2 / (1+r^2)^3 peaks at the three cube roots of unity (0.28),
+        # then at v = 0 (0.25)
+        coeffs = np.array([0.5, 0.0, 0.0, 1.0], dtype=complex)
+        r = np.linspace(0.0, 1.0, 11)
+        chi = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
+        p, ir, ic, peaks = kernels.poly_grid_max(coeffs, r, chi, peaks=5)
+        assert (p, ir, ic) == kernels.poly_grid_max(coeffs, r, chi)
+        assert sorted(peaks[:3].tolist()) == [[10, 0], [10, 4], [10, 8]]
+        # and nothing else: the last column, beside the peak at column 0, is not one
+        assert peaks[3:].tolist() == [[0, 0]]
+
+    def test_origin_row_is_one_point(self):
+        # a constant polynomial over (1+r^2)^0 is flat; a decaying one peaks at v = 0 only
+        coeffs = np.array([1.0, 0.0], dtype=complex)
+        r = np.linspace(0.0, 1.0, 5)
+        chi = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+        assert kernels.poly_grid_max(coeffs, r, chi, peaks=4)[3].tolist() == [[0, 0]]
+
+
 class TestProductAscent:
     def test_recovers_product_states(self):
         rng = np.random.default_rng(2)

@@ -242,6 +242,14 @@ class TestNonFinite:
         with pytest.raises(InvalidRay):
             horizontality_residual([p, [1.0, bad], p])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_geodesic_rejects_a_non_finite_endpoint(self, bad):
+        # an infinite endpoint once warned in the norm; a NaN one passed both basis checks
+        with pytest.raises(InvalidRay):
+            geodesic_point([bad, 0.0], [0.0, 1.0], 0.5)
+        with pytest.raises(InvalidRay):
+            geodesic_point([1.0, 0.0], [0.0, bad], 0.5)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_line_element_rejects_non_finite_input(self, bad):
         with pytest.raises(InvalidRay):
