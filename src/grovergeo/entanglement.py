@@ -68,8 +68,9 @@ _ASCENT_STARTS = 32  # random starts, beside the uniform and the greedy one
 _ASCENT_MAX_SWEEPS = 500
 _NEAR_REAL = 1e-6  # companion roots of a close real pair may split off the axis
 _ORACLE_RESOLUTION = 64  # coarse (r, chi) grid size of each symmetric chart
-_POLISH_STARTS = 4  # local maxima of each chart's grid polished by Newton steps
+_POLISH_STARTS = 4  # grid maxima, screened row starts and polished points kept, per chart
 _POLISH_STEPS = 40
+_SCREEN_STEPS = 3  # Newton steps each row start takes before the best are kept
 _POLISH_TOL = 1e-15  # largest step of a converged polish
 _POLISH_SHIFT = 1e-9  # relative curvature kept along a flat direction
 
@@ -366,47 +367,116 @@ def _phase(v: complex) -> float:
     return 0.0 if chi == 2.0 * math.pi else chi  # a tiny negative angle rounds up to 2 pi
 
 
-def _polish(coeffs: list[complex], v: complex, max_step: float) -> complex:
-    """Newton ascent of L = log(|p(v)|^2 / (1+|v|^2)^n) from the start ``v``.
+def _derivative_columns(coeffs: np.ndarray) -> np.ndarray:
+    """(n + 1, 3) coefficients of p, p' and p''/2 in powers of v, one per column."""
+    n = coeffs.size - 1
+    k = np.arange(1, n + 1)
+    columns = np.zeros((n + 1, 3), dtype=np.complex128)
+    columns[:, 0] = coeffs
+    columns[:n, 1] = coeffs[1:] * k
+    columns[: n - 1, 2] = coeffs[2:] * (k[1:] * (k[1:] - 1) // 2)
+    return columns
 
-    Each step solves the stationarity condition dL/dv = 0 of the quadratic
-    model built from the Wirtinger derivatives w = dL/dv, alpha = d2L/dv2
-    and beta = d2L/dv dv* < 0.  Beta is shifted below -|alpha|, so the model
-    is concave and every step ascends; along a flat direction (a ring of
-    maxima) the step stays small.  A step moves at most ``max_step``, and the
-    iterate is clipped to the chart's disk |v| <= 1.  It runs in scalar
-    complex arithmetic, which for a few starts costs less than numpy calls.
+
+def _newton_ascent(columns: np.ndarray, v: np.ndarray, max_step: float, steps: int):
+    """Newton ascent of L = log(|p(v)|^2 / (1+|v|^2)^n) from each start in ``v``.
+
+    ``columns`` comes from :func:`_derivative_columns`.  Each step solves
+    the stationarity condition dL/dv = 0 of the quadratic model built from
+    the Wirtinger derivatives w = dL/dv, alpha = d2L/dv2 and
+    beta = d2L/dv dv* < 0.  Beta is shifted below -|alpha|, so the model is
+    concave and every step ascends; along a flat direction (a ring of
+    maxima) the step stays small.  A step moves at most ``max_step``, the
+    iterate is clipped to the chart's disk |v| <= 1, and a start stops once
+    its step is at most ``_POLISH_TOL``.  A start also stops, back where it
+    was, when a full-length step clipped at the edge fails to ascend: it
+    has met the edge on the way to a maximum in the other chart's disk.
+    Returns the points reached and their values |p(v)|^2 / (1+|v|^2)^n.
     """
-    n = len(coeffs) - 1
-    for _ in range(_POLISH_STEPS):
-        p, dp, half_d2p = coeffs[n], 0j, 0j
-        for c in reversed(coeffs[:n]):  # Horner for p, p' and p''/2
-            half_d2p = half_d2p * v + dp
-            dp = dp * v + p
-            p = p * v + c
-        q = 1.0 + (v.real * v.real + v.imag * v.imag)
-        vq = v.conjugate() / q
-        w = dp / p - n * vq
-        alpha = (2.0 * half_d2p * p - dp * dp) / (p * p) + n * vq * vq
-        beta = min(-n / (q * q), -(1.0 + _POLISH_SHIFT) * abs(alpha))
-        step = (alpha.conjugate() * w - beta * w.conjugate()) / (beta * beta - abs(alpha) ** 2)
-        step *= max_step / max(abs(step), max_step)
+    n = len(columns) - 1
+    powers = np.empty((v.size, n + 1), dtype=np.complex128)
+    active = np.ones(v.size, dtype=bool)
+    clipped = np.zeros(v.size, dtype=bool)
+    value = np.zeros(v.size)
+    moved = v
+    for k in range(steps + 1):
+        powers[:, 0] = 1.0
+        powers[:, 1:] = v[:, None]
+        p, dp, half_d2p = (np.cumprod(powers, axis=1, out=powers) @ columns).T
+        q = 1.0 + (v.real**2 + v.imag**2)
+        last_value, value = value, (p.real**2 + p.imag**2) / q**n
+        if clipped.any():
+            failed = clipped & (value <= last_value)
+            v[failed], value[failed] = moved[failed], last_value[failed]
+            active &= ~failed
+        if k == steps or not active.any():
+            return v, value
+        vq = v.conj() / q
+        g = dp / p
+        w = g - n * vq
+        alpha = 2.0 * half_d2p / p - g * g + n * (vq * vq)
+        abs_alpha = np.abs(alpha)
+        beta = np.minimum(-n / (q * q), -(1.0 + _POLISH_SHIFT) * abs_alpha)
+        step = (alpha.conj() * w - beta * w.conj()) / (beta * beta - abs_alpha**2)
+        size = np.abs(step)
+        step *= np.where(active, max_step / np.maximum(size, max_step), 0.0)
         moved, v = v, v + step
-        if abs(v) > 1.0:
-            v /= abs(v)
-        if abs(v - moved) <= _POLISH_TOL:
-            break
-    return v
+        radius = np.abs(v)
+        clipped = (radius > 1.0) & (size >= max_step)
+        v /= np.maximum(radius, 1.0)
+        active &= np.abs(v - moved) > _POLISH_TOL
+
+
+def _grid_starts(values: np.ndarray, peaks: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the polar grid cells that start a polish.
+
+    Returns the grid's ``peaks`` highest local maxima, highest first, and
+    the best cell of each row past the first that is not among them.  A
+    local maximum is a cell none of whose eight neighbours is higher, where
+    the chi axis wraps and row 0 is the one point v = 0, whose neighbours
+    are the whole next row.  A ridge narrower than a cell can rise to its
+    maximum with no cell on it a local maximum, but it holds the best cell
+    of the rows it crosses.
+    """
+    rows, cols = values.shape
+    wrapped = np.concatenate([values[:, -1:], values, values[:, :1]], axis=1)
+    beside = np.maximum(wrapped[:, :-2], wrapped[:, 2:])  # chi neighbours
+    row_max = np.maximum(beside, values)
+    neighbours = beside.copy()
+    neighbours[1:] = np.maximum(neighbours[1:], row_max[:-1])
+    neighbours[:-1] = np.maximum(neighbours[:-1], row_max[1:])
+    neighbours[0] = values[1].max()
+    is_peak = values >= neighbours
+    is_peak[0, 1:] = False
+    flat = np.flatnonzero(is_peak)
+    top = flat[np.argsort(-values.flat[flat], kind="stable")[:peaks]]
+    row_best = np.arange(1, rows) * cols + np.argmax(values[1:], axis=1)
+    return top, np.setdiff1d(row_best, top)
 
 
 def _chart_candidates(coeffs, resolution):
-    """Chart points v of the coarse grid's best cell, then of its polished local maxima."""
+    """Chart points v of the coarse grid's best cell, then of the best polished starts.
+
+    The grid's best local maxima are polished to convergence, together with
+    the ``_POLISH_STARTS`` row-best cells that rank highest after
+    ``_SCREEN_STEPS`` Newton steps; the highest polished points are kept.
+    """
     r_grid = np.linspace(0.0, 1.0, resolution)
     chi_grid = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-    *_, peaks = kernels.poly_grid_max(coeffs, r_grid, chi_grid, peaks=_POLISH_STARTS)
-    starts = (r_grid[peaks[:, 0]] * np.exp(1j * chi_grid[peaks[:, 1]])).tolist()
-    polished = [_polish(coeffs.tolist(), v, r_grid[1]) for v in starts]
-    return np.array(starts[:1] + polished)
+
+    def point(flat):
+        ir, ic = np.divmod(flat, resolution)
+        return r_grid[ir] * np.exp(1j * chi_grid[ic])
+
+    _, ir, ic, values = kernels.poly_grid_max(coeffs, r_grid, chi_grid)
+    peaks, row_best = _grid_starts(values, _POLISH_STARTS)
+    columns = _derivative_columns(coeffs)
+    starts = point(np.concatenate([peaks, row_best]))
+    v, value = _newton_ascent(columns, starts, r_grid[1], _SCREEN_STEPS)
+    ridge = peaks.size + np.argsort(-value[peaks.size :], kind="stable")[:_POLISH_STARTS]
+    v, value = _newton_ascent(columns, v[np.r_[: peaks.size, ridge]], r_grid[1], _POLISH_STEPS)
+    v = v[np.argsort(-value, kind="stable")[:_POLISH_STARTS]]
+    return np.concatenate([point(np.array([ir * resolution + ic])), v])
 
 
 def closest_product_overlap(state, n: int, resolution: int = _ORACLE_RESOLUTION, seed: int = 0):
@@ -415,12 +485,13 @@ def closest_product_overlap(state, n: int, resolution: int = _ORACLE_RESOLUTION,
     Symmetric states (amplitudes constant on bit-count classes) have a
     symmetric closest product state.  It is found on a coarse
     ``resolution`` x ``resolution`` (r, chi) grid in both inhomogeneous
-    charts of the single-qubit sphere, whose best local maxima are then
-    polished by Newton steps; the grid winner and the polished points are
-    ranked by their ``fs_distance`` to the state.  The returned coordinates
-    (r, chi) are the per-qubit point (r e^{i chi}, 1), chi in [0, 2 pi),
-    with r = inf meaning the product |00...0>.  General states fall back to
-    multistart per-qubit coordinate ascent and return NaN coordinates.
+    charts of the single-qubit sphere.  Its best local maxima and the best
+    cell of each r row are polished by Newton steps; the grid winner and the
+    highest polished points are ranked by their ``fs_distance`` to the
+    state.  The returned coordinates (r, chi) are the per-qubit point
+    (r e^{i chi}, 1), chi in [0, 2 pi), with r = inf meaning the product
+    |00...0>.  General states fall back to multistart per-qubit coordinate
+    ascent and return NaN coordinates.
 
     Returns ``(p, r_star, chi_star, symmetric)``.
     """

@@ -13,27 +13,21 @@ import numpy as np
 __all__ = ["poly_grid_max", "product_ascent"]
 
 
-def poly_grid_max(coeffs, r_grid, chi_grid, peaks=0):
+def poly_grid_max(coeffs, r_grid, chi_grid):
     """Maximize |poly(v)|^2 / (1+r^2)^deg over the grid v = r e^{i chi}.
 
     ``coeffs`` holds the polynomial coefficients, constant term first; its
     degree fixes the normalizing power.  Returns (best value, r index,
-    chi index); ties resolve to the lowest r index, then lowest chi index.
-    With ``peaks`` > 0 a fourth element is returned: the (r index, chi
-    index) rows of up to ``peaks`` local maxima of the grid, highest first,
-    a cell counting as one when none of its eight neighbours is higher.
-    The grid is then taken as polar: ``chi_grid`` spans one full turn, so
-    the chi axis wraps, and a row at r = 0 is the one point v = 0, whose
-    neighbours are the whole next row.
+    chi index, values): ties resolve to the lowest r index, then lowest chi
+    index, and ``values`` is the (r, chi) array of the function on the grid.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     r_grid = np.ascontiguousarray(r_grid, dtype=np.float64)
     chi_grid = np.ascontiguousarray(chi_grid, dtype=np.float64)
     deg = coeffs.size - 1
     phases = np.exp(1j * chi_grid)
-    values = np.empty((r_grid.size, chi_grid.size)) if peaks > 0 else None
-    best_p, best_ir, best_ic = -1.0, 0, 0
-    # chunk rows to bound the temporary grid arrays at a few million entries
+    values = np.empty((r_grid.size, chi_grid.size))
+    # chunk rows to bound the temporary complex arrays at a few million entries
     chunk = max(1, 4_000_000 // max(chi_grid.size, 1))
     for start in range(0, r_grid.size, chunk):
         rows = r_grid[start : start + chunk]
@@ -43,37 +37,9 @@ def poly_grid_max(coeffs, r_grid, chi_grid, peaks=0):
             acc *= v
             acc += coeffs[z]
         denom = (1.0 + rows * rows) ** deg
-        p = (acc.real**2 + acc.imag**2) / denom[:, None]
-        if values is not None:
-            values[start : start + rows.size] = p
-        flat = int(np.argmax(p))
-        ir, ic = divmod(flat, chi_grid.size)
-        if p[ir, ic] > best_p:
-            best_p, best_ir, best_ic = float(p[ir, ic]), start + ir, ic
-    if values is None:
-        return best_p, best_ir, best_ic
-    return best_p, best_ir, best_ic, _local_maxima(values, peaks, r_grid[0] == 0.0)
-
-
-def _local_maxima(values, count, origin):
-    """(row, column) indices of the ``count`` highest local maxima; columns wrap.
-
-    With ``origin`` set, row 0 is a single point, kept once at column 0.
-    """
-    padded = np.pad(values, ((1, 1), (1, 1)), mode="wrap")
-    padded[0, :] = padded[-1, :] = -np.inf  # rows do not wrap
-    rows, cols = values.shape
-    is_peak = np.ones(values.shape, dtype=bool)
-    for dr in (0, 1, 2):
-        for dc in (0, 1, 2):
-            if (dr, dc) != (1, 1):
-                is_peak &= values >= padded[dr : dr + rows, dc : dc + cols]
-    if origin:
-        is_peak[0, 1:] = False
-        is_peak[0, 0] = values[0, 0] >= values[1:2].max(initial=-np.inf)
-    ir, ic = np.nonzero(is_peak)
-    order = np.argsort(-values[ir, ic], kind="stable")[:count]
-    return np.stack([ir[order], ic[order]], axis=1)
+        values[start : start + rows.size] = (acc.real**2 + acc.imag**2) / denom[:, None]
+    ir, ic = divmod(int(np.argmax(values)), chi_grid.size)
+    return float(values[ir, ic]), ir, ic, values
 
 
 def product_ascent(psi, n, factors, max_sweeps, tol):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from grovergeo import entanglement as ent
 from grovergeo import (
     CoherentProduct,
     GroverPathPoint,
@@ -367,18 +368,61 @@ def _brute_force_grid_overlap(psi, n, resolution=256):
 
 _CLASS_AMPLITUDE = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
+# an n = 8 symmetric state (class amplitudes by number of zero bits) whose best
+# product sits on a ridge about 0.02 wide near v = 0.09 e^{3.47 i}: no cell of
+# the 64^2 grid on it is a local maximum, so only a row's best cell leads there
+_RIDGE_CLASSES = [
+    -1.0810573515601227 + 0.28519870476625164j,
+    -6.441333710022086e-05 + 0.0006235929948852592j,
+    -0.14743537739963875 - 0.05681393821417398j,
+    0.0055051555686339 + 0.026617557667150897j,
+    -0.0030832850366593863 + 0.006096099594064087j,
+    -0.0005999058255999881 - 0.0004972143923703842j,
+    -1.2684858034803889e-08 + 5.832074818079489e-09j,
+    0.0026656547221250953 + 0.00574170566109376j,
+    -0.0001549227877282602 - 0.00019564614852533345j,
+]
+
+
+class TestGridStarts:
+    def test_best_local_maxima_then_row_bests(self):
+        # |0.5 + v^3|^2 / (1+r^2)^3 peaks at the three cube roots of unity (0.28),
+        # then at v = 0 (0.25)
+        coeffs = np.array([0.5, 0.0, 0.0, 1.0], dtype=complex)
+        r = np.linspace(0.0, 1.0, 11)
+        chi = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
+        values = kernels.poly_grid_max(coeffs, r, chi)[3]
+        peaks, row_best = ent._grid_starts(values, 5)
+        assert sorted(peaks[:3].tolist()) == [120, 124, 128]
+        # and nothing else: the last column, beside the peak at column 0, is not one
+        assert peaks[3:].tolist() == [0]
+        assert row_best.tolist() == [i * 12 + int(np.argmax(values[i])) for i in range(1, 10)]
+        assert ent._grid_starts(values, 2)[0].size == 2
+
+    def test_origin_row_is_one_point(self):
+        # |1|^2 / (1+r^2) decays from v = 0, its one local maximum
+        coeffs = np.array([1.0, 0.0], dtype=complex)
+        r = np.linspace(0.0, 1.0, 5)
+        chi = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
+        peaks, row_best = ent._grid_starts(kernels.poly_grid_max(coeffs, r, chi)[3], 4)
+        assert peaks.tolist() == [0]
+        assert row_best.tolist() == [8, 16, 24, 32]
+
 
 class TestOracle:
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(
         n=st.integers(2, 14),
         classes=st.lists(_CLASS_AMPLITUDE, min_size=15, max_size=15),
+        scales=st.lists(st.floats(0.0, 1.0), min_size=15, max_size=15),
+        scale_power=st.sampled_from([0, 4, 8]),
         path_level=st.none() | st.floats(0.0, 1.0),
     )
-    def test_polish_beats_a_brute_force_grid(self, n, classes, path_level):
+    def test_polish_beats_a_brute_force_grid(self, n, classes, scales, scale_power, path_level):
         zeros = np.array([n - bin(x).count("1") for x in range(1 << n)])
         if path_level is None:
-            amplitudes = np.array(classes[: n + 1])
+            # scaled class amplitudes span many decades, which narrows the maxima
+            amplitudes = np.array(classes[: n + 1]) * np.array(scales[: n + 1]) ** scale_power
             assume(np.max(np.abs(amplitudes)) >= 1e-3)
             psi = amplitudes[zeros]
         else:
@@ -394,6 +438,28 @@ class TestOracle:
             assert oracle.value <= fs_distance(psi, CoherentProduct(n, exact.r_star).ray()) + 1e-15
             if exact.value >= 1e-3:
                 assert abs(oracle.value - exact.value) <= 1e-10
+
+    def test_finds_a_maximum_off_the_grid_maxima(self):
+        psi = np.array(_RIDGE_CLASSES)[[8 - bin(x).count("1") for x in range(256)]]
+        p = closest_product_overlap(psi, 8)[0]
+        # the four best local maxima of the 64^2 grid reached 0.626880495932635;
+        # the reference is a 40-digit mpmath Newton solve of the stationarity condition
+        assert p >= _brute_force_grid_overlap(psi, 8, resolution=1024) - 1e-15
+        assert p == pytest.approx(0.62688895592865350175, abs=1e-14)
+
+    def test_reaches_a_maximum_on_the_chart_edge(self):
+        # a near-W two-qubit state: its best product lies 2.5e-6 inside |v| = 1, where
+        # starts clipped at the edge of either chart must slide along it to get there
+        classes = [
+            5.05467249082836e-06 - 8.396361103317075e-07j,
+            -0.12079415270760359 - 0.6967128337101339j,
+            -4.1876272753869137e-07 + 2.01617803177296e-06j,
+        ]
+        psi = np.array(classes)[[2 - bin(x).count("1") for x in range(4)]]
+        p, r_star, _, _ = closest_product_overlap(psi, 2)
+        assert p >= _brute_force_grid_overlap(psi, 2, resolution=1024) - 1e-15
+        assert p == pytest.approx(0.50000438128847944729, abs=1e-14)
+        assert r_star == pytest.approx(0.99999748768665207, abs=1e-9)
 
     def test_path_state_phase_lies_in_one_turn(self):
         for n in range(2, 9):

@@ -33,7 +33,7 @@ class TestPolyGridMax:
             r = np.linspace(0.0, 1.0, 101)
             chi = np.linspace(0.0, 2 * np.pi, 97, endpoint=False)
             want = _brute_grid_max(coeffs, r, chi)
-            p, ir, ic = kernels.poly_grid_max(coeffs, r, chi)
+            p, ir, ic, _ = kernels.poly_grid_max(coeffs, r, chi)
             assert p == pytest.approx(want[0], rel=1e-12)
             assert (ir, ic) == (want[1], want[2])
 
@@ -42,7 +42,7 @@ class TestPolyGridMax:
         coeffs = np.array([2.0 + 0.0j])
         r = np.linspace(0.0, 1.0, 7)
         chi = np.linspace(0.0, 2 * np.pi, 5, endpoint=False)
-        p, ir, ic = kernels.poly_grid_max(coeffs, r, chi)
+        p, ir, ic, _ = kernels.poly_grid_max(coeffs, r, chi)
         assert (ir, ic) == (0, 0)
         assert p == pytest.approx(4.0)
 
@@ -51,29 +51,22 @@ class TestPolyGridMax:
         coeffs = np.array([0.0, 1.0], dtype=complex)
         r = np.linspace(0.0, 1.0, 501)
         chi = np.zeros(1)
-        p, ir, _ = kernels.poly_grid_max(coeffs, r, chi)
+        p, ir, _, _ = kernels.poly_grid_max(coeffs, r, chi)
         assert ir == 500
         assert p == pytest.approx(0.5, rel=1e-12)
 
-
-    def test_peaks_are_the_polar_local_maxima(self):
-        # |0.5 + v^3|^2 / (1+r^2)^3 peaks at the three cube roots of unity (0.28),
-        # then at v = 0 (0.25)
-        coeffs = np.array([0.5, 0.0, 0.0, 1.0], dtype=complex)
-        r = np.linspace(0.0, 1.0, 11)
-        chi = np.linspace(0.0, 2 * np.pi, 12, endpoint=False)
-        p, ir, ic, peaks = kernels.poly_grid_max(coeffs, r, chi, peaks=5)
-        assert (p, ir, ic) == kernels.poly_grid_max(coeffs, r, chi)
-        assert sorted(peaks[:3].tolist()) == [[10, 0], [10, 4], [10, 8]]
-        # and nothing else: the last column, beside the peak at column 0, is not one
-        assert peaks[3:].tolist() == [[0, 0]]
-
-    def test_origin_row_is_one_point(self):
-        # a constant polynomial over (1+r^2)^0 is flat; a decaying one peaks at v = 0 only
-        coeffs = np.array([1.0, 0.0], dtype=complex)
-        r = np.linspace(0.0, 1.0, 5)
-        chi = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
-        assert kernels.poly_grid_max(coeffs, r, chi, peaks=4)[3].tolist() == [[0, 0]]
+    def test_values_are_the_whole_grid(self):
+        rng = np.random.default_rng(1)
+        coeffs = rng.normal(size=6) + 1j * rng.normal(size=6)
+        r = np.linspace(0.0, 1.0, 33)
+        chi = np.linspace(0.0, 2 * np.pi, 40, endpoint=False)
+        v = r[:, None] * np.exp(1j * chi)[None, :]
+        want = np.abs(np.polynomial.polynomial.polyval(v, coeffs)) ** 2
+        want /= (1.0 + r[:, None] ** 2) ** 5
+        p, ir, ic, values = kernels.poly_grid_max(coeffs, r, chi)
+        assert values.shape == (33, 40)
+        np.testing.assert_allclose(values, want, rtol=1e-12)
+        assert p == values[ir, ic] == values.max()
 
 
 class TestProductAscent:
