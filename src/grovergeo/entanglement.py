@@ -34,7 +34,7 @@ from .errors import (
     DomainError,
 )
 from .grover_engine import _check_qubits, _path_angle, _path_level, _rotation_angle
-from .ray_space import Ray, UnitVector, _ascoords, _norm, _overlap_angle, _unit, fs_distance
+from .ray_space import Ray, UnitVector, _ascoords, _norm, _overlap_angle, _unit, _unit_vector, fs_distance
 from .segre import max_quadric_residual
 
 __all__ = [
@@ -132,7 +132,7 @@ class GroverPathPoint:
     def ray(self) -> UnitVector:
         z = np.full(self.size, self.u, dtype=np.complex128)
         z[self.size - 1] = 1.0
-        return UnitVector(_unit(z))
+        return _unit_vector(z)
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,7 @@ class CoherentProduct:
     def ray(self) -> UnitVector:
         zeros = _zeros_per_index(self.n)
         amps = np.asarray(self.v, dtype=np.complex128) ** zeros
-        return UnitVector(_unit(amps))
+        return _unit_vector(amps)
 
 
 @dataclass(frozen=True)

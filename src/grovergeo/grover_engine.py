@@ -20,7 +20,7 @@ from .errors import (
     SizeError,
     UnreachableTarget,
 )
-from .ray_space import UnitVector, _ascoords, _norm, _unit
+from .ray_space import UnitVector, _ascoords, _norm, _unit_vector
 
 __all__ = [
     "SearchInstance",
@@ -130,13 +130,13 @@ def grover_state(inst: SearchInstance, k: int, mode: str = "closed_form") -> Uni
         ang = (k + 0.5) * inst.rotation_angle
         out = np.full(size, np.cos(ang) / np.sqrt(size - 1), dtype=complex)
         out[inst.target] = np.sin(ang)
-        return UnitVector(_unit(out))
+        return _unit_vector(out)
     if mode == "operator":
         v = np.full(size, size**-0.5, dtype=complex)
         for _ in range(k):
             v[inst.target] = -v[inst.target]
             v = (2.0 * v.sum() / size) - v
-        return UnitVector(_unit(v))
+        return _unit_vector(v)
     raise DomainError(f"unknown mode {mode!r}")
 
 
@@ -235,7 +235,7 @@ def generalized_state(
         for _ in range(k):
             v[target] = -v[target]
             v = 2.0 * np.vdot(y, v) * y - v
-        return UnitVector(_unit(v))
+        return _unit_vector(v)
     if mode != "closed_form":
         raise DomainError(f"unknown mode {mode!r}")
     ang = (k + 0.5) * params.angle
@@ -245,7 +245,7 @@ def generalized_state(
     else:
         rest = (y - q * w) / np.sqrt(1.0 - q * q)
         out = np.cos(ang) * rest + np.sin(ang) * w
-    return UnitVector(_unit(out))
+    return _unit_vector(out)
 
 
 def search_metrics(q) -> SearchMetrics:
@@ -299,4 +299,4 @@ def fourier_state(n: int, p: int) -> UnitVector:
         raise DomainError(f"frequency {p} outside [0, {size})")
     x = np.arange(size)
     out = np.exp(2j * np.pi * p * x / size) / np.sqrt(size)
-    return UnitVector(_unit(out))
+    return _unit_vector(out)

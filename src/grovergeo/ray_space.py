@@ -62,6 +62,8 @@ def _unit(arr: np.ndarray) -> np.ndarray:
     norm = _norm(arr)
     if norm == 0.0:
         raise InvalidRay("all-zero coordinates do not define a ray")
+    if norm == math.inf:  # |z|^2 overflowed: z / norm would be all zeros
+        raise InvalidRay("coordinates too large to normalise")
     return arr / norm
 
 
@@ -122,6 +124,22 @@ class UnitVector(Ray):
             raise InvalidRay(f"norm {norm!r} is not 1 within {_UNIT_NORM_TOL}")
 
 
+def _unit_vector(arr: np.ndarray) -> UnitVector:
+    """``UnitVector(_unit(arr))`` without a second copy, finiteness scan and norm.
+
+    For 1-D complex coordinates of norm near 1 or above, whose quotient by
+    ``_norm`` is a unit vector to the last bits; the public constructor
+    checks any other input.
+    """
+    v = _unit(arr)
+    if v.ndim != 1 or v.size < 2:
+        raise InvalidRay(f"a ray needs at least 2 homogeneous coordinates, got shape {v.shape}")
+    v.flags.writeable = False
+    out = UnitVector.__new__(UnitVector)
+    out._coords = v
+    return out
+
+
 class InhomogeneousChart:
     """Affine chart coordinates of a ray: ratios z_l / z_pivot, l != pivot."""
 
@@ -174,7 +192,7 @@ def canonical_form(r: Ray | np.ndarray) -> UnitVector:
     j = int(np.argmax(mags))  # argmax takes the first maximum: lowest index
     v = v * np.conj(v[j] / mags[j])
     v[j] = mags[j]  # kill the residual imaginary part exactly
-    return UnitVector(_unit(v))
+    return _unit_vector(v)
 
 
 def inhomogeneous(r: Ray | np.ndarray, pivot: int) -> InhomogeneousChart:
@@ -249,7 +267,7 @@ def geodesic_point(p1, p2, s: float) -> UnitVector:
     if not 0.0 <= s <= np.pi:
         raise DomainError(f"arc length {s} outside [0, pi]")
     out = np.cos(0.5 * s) * v1 + np.sin(0.5 * s) * v2
-    return UnitVector(_unit(out))
+    return _unit_vector(out)
 
 
 def horizontality_residual(samples) -> float:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grovergeo
-from grovergeo import __version__
+from grovergeo import SearchInstance, __version__, grover_separability_residual
 from grovergeo.cli import main
 from grovergeo.errors import ConvergenceError
 
@@ -147,16 +147,31 @@ class TestGroverTrace:
         best = max(float(r[1]) for r in rows)
         assert best == pytest.approx(0.9613189697265625, abs=1e-12)
 
-    def test_memory_linear_in_state_size(self, runner):
-        # an N x N identity for the target ray alone would take 256 MiB here
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_memory_linear_in_state_size(self, runner, n):
+        # a bound of 16 complex state vectors; one (N/2)^2 block of minors,
+        # or an N x N identity for the target ray, would break it.  A first
+        # small run keeps one-time import allocations out of the peak.
+        runner.invoke(main, ["grover-trace", "--n", "2", "--kmax", "0"])
         tracemalloc.start()
         try:
-            res = runner.invoke(main, ["grover-trace", "--n", "12", "--kmax", "0"])
+            res = runner.invoke(main, ["grover-trace", "--n", str(n), "--kmax", "0"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert res.exit_code == 0
-        assert peak < 96 * 2**20
+        assert peak < 16 * 16 * 2**n
+
+    @pytest.mark.parametrize("n,kmax", [(16, 3), (20, 1)])
+    def test_largest_states_match_the_closed_form(self, runner, n, kmax):
+        res = runner.invoke(main, ["grover-trace", "--n", str(n), "--kmax", str(kmax)])
+        assert res.exit_code == 0
+        _, columns, rows = parse_csv(res.stdout)
+        assert [int(r[0]) for r in rows] == list(range(kmax + 1))
+        residual = [float(r[columns.index("quadric_residual")]) for r in rows]
+        theta = SearchInstance(n, 0).rotation_angle
+        want = grover_separability_residual(2**n, (np.arange(kmax + 1) + 0.5) * theta)
+        np.testing.assert_allclose(residual, want, rtol=0, atol=1e-12)
 
     def test_qubit_cap(self, runner):
         res = runner.invoke(main, ["grover-trace", "--n", "21"])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import grovergeo
 from grovergeo import (
+    CoherentProduct,
     Ray,
     SearchInstance,
     UnitVector,
@@ -66,6 +67,14 @@ class TestRayValidation:
         UnitVector([1.0, 0.0])
         with pytest.raises(InvalidRay):
             UnitVector([1.0, 1.0])
+
+    def test_normalised_constructions_keep_the_ray_checks(self):
+        # these skip UnitVector's own checks, so they must not build a
+        # one-coordinate ray or, when |z|^2 overflows, an all-zero one
+        with pytest.raises(InvalidRay):
+            canonical_form(np.array([2.0]))
+        with np.errstate(over="ignore"), pytest.raises(InvalidRay):
+            CoherentProduct(4, 1e75).ray()
 
 
 class TestCanonicalForm:
@@ -355,16 +364,28 @@ class TestLineElement:
 
 
 _LARGE_STATES = """
+import math
 import numpy as np
 from grovergeo import CoherentProduct, SearchInstance, grover_path_ray, grover_state
 from grovergeo import optimal_query_count
+def check(v):
+    # the norm error, exact but for the squares' rounding: each square splits
+    # into a multiple of 2^-29, whose float64 sums are exact below 2, and a
+    # remainder under 2^-30, whose pairwise sum errs by under 1e-17.  (A
+    # math.fsum of every square would cost some 30 s here.)
+    sq = v.coords.view(float) ** 2
+    hi = sq + 2.0**23
+    hi -= 2.0**23
+    sq -= hi
+    err = abs(math.fsum([hi.sum(), sq.sum()]) - 1.0)
+    assert err <= 1e-12, (v.dim, err)
 for n in range(17, 22):
     inst = SearchInstance(n, 12345)
     for k in np.linspace(0, optimal_query_count(inst.size), 40).round():
-        grover_state(inst, int(k))
+        check(grover_state(inst, int(k)))
     for u in np.linspace(0.0, 1.0, 12):
-        grover_path_ray(n, float(u))
-    CoherentProduct(n, 0.3 * np.exp(0.4j)).ray()
+        check(grover_path_ray(n, float(u)))
+    check(CoherentProduct(n, 0.3 * np.exp(0.4j)).ray())
 """
 
 

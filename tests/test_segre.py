@@ -145,6 +145,41 @@ class TestEmbedResidual:
                 want = max(want, float(np.abs(outer - outer.T).max()))
         assert _max_minor_residual(m) == want
 
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(
+        distinct=st.integers(2, 4).flatmap(
+            lambda cols: st.lists(
+                st.lists(
+                    st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+                    | st.sampled_from([0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]),
+                    min_size=cols,
+                    max_size=cols,
+                ),
+                min_size=1,
+                max_size=4,
+                unique_by=lambda row: np.asarray(row, dtype=complex).tobytes(),
+            )
+        ),
+        rows=st.integers(2, 3000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_repeated_rows_give_the_brute_force_maximum(self, distinct, rows, seed):
+        # every distinct row appears at least once, in shuffled order
+        rng = np.random.default_rng(seed)
+        distinct = np.asarray(distinct, dtype=complex)
+        extra = rng.integers(0, len(distinct), max(0, rows - len(distinct)))
+        m = distinct[rng.permutation(np.concatenate([np.arange(len(distinct)), extra]))]
+        want = 0.0
+        for k in range(m.shape[1]):
+            for l in range(k + 1, m.shape[1]):
+                a, b = m[:, k], m[:, l]
+                for s in range(0, len(m), 512):
+                    # the library's operand order: complex products need not commute bitwise
+                    block = np.outer(a[s : s + 512], b) - np.outer(a, b[s : s + 512]).T
+                    want = max(want, float(np.abs(block).max()))
+        assert _max_minor_residual(m) == want
+        assert _max_minor_residual(np.repeat(distinct[:1], rows, axis=0)) == 0.0
+
 
 class TestFullSeparability:
     def test_accepts_products_and_recovers_factors(self):
