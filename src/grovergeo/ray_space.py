@@ -230,8 +230,13 @@ def fs_distance(a: Ray | np.ndarray, b: Ray | np.ndarray) -> float:
         raise DimensionError(f"dimension mismatch: {va.size} vs {vb.size}")
     overlap = np.vdot(va, vb)
     half = np.sqrt(overlap / abs(overlap)) if overlap != 0 else 1.0
-    x, y = va * half, vb * np.conj(half)
-    return 4.0 * math.atan2(_norm(x - y), _norm(x + y))
+    # in place: _unit returned fresh arrays, and a 2^20-long temporary costs
+    # as much as the arithmetic on it
+    va *= half  # x
+    vb *= np.conj(half)  # y
+    diff = va - vb
+    va += vb
+    return 4.0 * math.atan2(_norm(diff), _norm(va))
 
 
 def _overlap_angle(p: float) -> float:

@@ -136,11 +136,14 @@ def _max_minor_residual(matrix: np.ndarray) -> float:
     The minors are taken over the matrix's distinct rows only, found by one
     sort of the rows' bytes: a repeated row repeats the same minors, and a
     row paired with itself gives exactly 0, so the maximum is bit-identical
-    to the one over all rows.  A Grover state's matrix has at most 3
-    distinct rows.
+    to the one over all rows.  Rows equal to the row before them are
+    dropped first, in one linear pass; a Grover state's matrix keeps at
+    most 3, so its sort is trivial.
     """
     rows = np.ascontiguousarray(matrix)
-    as_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    words = rows.view(np.uint64).reshape(len(rows), -1)
+    new_run = np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1)))
+    as_bytes = rows[new_run].view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     distinct = np.unique(as_bytes).view(rows.dtype).reshape(-1, rows.shape[1])
     worst = 0.0
     for _, block in _minor_blocks(distinct):
