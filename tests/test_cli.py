@@ -147,20 +147,20 @@ class TestGroverTrace:
         best = max(float(r[1]) for r in rows)
         assert best == pytest.approx(0.9613189697265625, abs=1e-12)
 
-    @pytest.mark.parametrize("n", [12, 16])
-    def test_memory_linear_in_state_size(self, runner, n):
+    def test_memory_linear_in_state_size(self, runner):
         # a bound of 16 complex state vectors; one (N/2)^2 block of minors,
         # or an N x N identity for the target ray, would break it.  A first
         # small run keeps one-time import allocations out of the peak.
         runner.invoke(main, ["grover-trace", "--n", "2", "--kmax", "0"])
-        tracemalloc.start()
-        try:
-            res = runner.invoke(main, ["grover-trace", "--n", str(n), "--kmax", "0"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert res.exit_code == 0
-        assert peak < 16 * 16 * 2**n
+        for n in (12, 16):
+            tracemalloc.start()
+            try:
+                res = runner.invoke(main, ["grover-trace", "--n", str(n), "--kmax", "0"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert res.exit_code == 0
+            assert peak < 16 * 16 * 2**n, (n, peak)
 
     @pytest.mark.parametrize("n,kmax", [(16, 3), (20, 1)])
     def test_largest_states_match_the_closed_form(self, runner, n, kmax):
