@@ -60,10 +60,14 @@ def _unit(arr: np.ndarray) -> np.ndarray:
     if not np.isfinite(arr).all():  # before the norm, whose |inf|^2 warns
         raise InvalidRay("coordinates must be finite")
     norm = _norm(arr)
+    if norm == math.inf or (norm == 0.0 and arr.any()):
+        # |z|^2 over- or underflowed: scale the largest part into [0.5, 1),
+        # exactly, by a power of two
+        _, exponent = math.frexp(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))
+        arr = np.ldexp(arr.real, -exponent) + 1j * np.ldexp(arr.imag, -exponent)
+        norm = _norm(arr)
     if norm == 0.0:
         raise InvalidRay("all-zero coordinates do not define a ray")
-    if norm == math.inf:  # |z|^2 overflowed: z / norm would be all zeros
-        raise InvalidRay("coordinates too large to normalise")
     return arr / norm
 
 

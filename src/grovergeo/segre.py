@@ -69,8 +69,8 @@ class QuadricSystem:
 class SeparabilityReport:
     """Outcome of a full-separability test.
 
-    ``max_residual`` is the largest quadric residual met across the
-    recursion.  ``factors`` lists one dim-2 ray per qubit, most significant
+    ``max_residual`` is the largest root-sum-square of 2x2 minors met
+    across the recursion, one (N/2) x 2 coordinate matrix per level.  ``factors`` lists one dim-2 ray per qubit, most significant
     bit first, and is None when the state is not fully separable.
     """
 
@@ -137,18 +137,36 @@ def _max_minor_residual(matrix: np.ndarray) -> float:
     sort of the rows' bytes: a repeated row repeats the same minors, and a
     row paired with itself gives exactly 0, so the maximum is bit-identical
     to the one over all rows.  Rows equal to the row before them are
-    dropped first, in one linear pass; a Grover state's matrix keeps at
-    most 3, so its sort is trivial.
+    dropped before and after the sort, each time in one linear pass; a
+    Grover state's matrix keeps at most 3, so its sort is trivial, and a
+    matrix left with 2 needs none.
     """
     rows = np.ascontiguousarray(matrix)
-    words = rows.view(np.uint64).reshape(len(rows), -1)
-    new_run = np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1)))
-    as_bytes = rows[new_run].view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    distinct = np.unique(as_bytes).view(rows.dtype).reshape(-1, rows.shape[1])
+    rows = rows[_starts_of_runs(rows)]
+    if len(rows) > 2:  # two rows left are distinct already
+        as_bytes = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        rows = np.sort(as_bytes).view(rows.dtype).reshape(-1, rows.shape[1])
+        rows = rows[_starts_of_runs(rows)]
     worst = 0.0
-    for _, block in _minor_blocks(distinct):
+    for _, block in _minor_blocks(rows):
         worst = max(worst, float(np.abs(block).max()))
     return worst
+
+
+def _starts_of_runs(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of a C-contiguous matrix whose bytes differ from the row before."""
+    words = rows.view(np.uint64).reshape(len(rows), -1)
+    return np.concatenate(([True], (words[1:] != words[:-1]).any(axis=1)))
+
+
+def _minor_norm(matrix: np.ndarray) -> float:
+    """Root-sum-square of the 2x2 minors of an M x 2 complex matrix, in O(M).
+
+    By Cauchy-Binet the sum of |minor|^2 is det(A^H A), and with A = QR
+    that is |R11 R22|^2.  It is at least the largest |minor|.
+    """
+    r = np.linalg.qr(matrix, mode="r")
+    return float(abs(r[0, 0] * r[1, 1]))
 
 
 def max_quadric_residual(r: Ray, m: int, m_prime: int) -> float:
@@ -164,7 +182,9 @@ def is_fully_separable(r: Ray, n: int, tol: float = 1e-9) -> SeparabilityReport:
     """Decide whether a 2^n-dimensional ray is a product of n qubit rays.
 
     Recursively tests the (2^(n-1)-1, 1) split: the even- and odd-index
-    coordinate slices must be proportional.  On success the slice of larger
+    coordinate slices must be proportional, that is the root-sum-square of
+    the 2x2 minors of their (N/2) x 2 matrix must be at most ``tol``.  On
+    success the slice of larger
     norm serves as the remaining (n-1)-qubit state and the proportionality
     pair becomes the last qubit's factor.  Extracted factors are verified
     by recomposition before the state is declared separable.
@@ -182,7 +202,7 @@ def is_fully_separable(r: Ray, n: int, tol: float = 1e-9) -> SeparabilityReport:
     worst = 0.0
     for _ in range(n - 1):
         matrix = z.reshape(-1, 2)
-        residual = _max_minor_residual(matrix / _norm(z))
+        residual = _minor_norm(matrix / _norm(z))
         worst = max(worst, residual)
         if residual > tol:
             return SeparabilityReport(False, worst, None)

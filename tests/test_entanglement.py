@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import grovergeo
 from grovergeo import entanglement as ent
 from grovergeo import (
     CoherentProduct,
@@ -35,6 +41,27 @@ from grovergeo.errors import (
     DimensionError,
     DomainError,
 )
+
+# a seeded 18-qubit product state: every start of the ascent converges in 2 sweeps
+_ASCENT_MEMORY = """
+import resource
+import numpy as np
+from grovergeo import closest_product_overlap
+
+def product(rng, n):
+    psi = np.ones(1, dtype=complex)
+    for _ in range(n):
+        psi = np.kron(psi, rng.normal(size=2) + 1j * rng.normal(size=2))
+    return psi
+
+rng = np.random.default_rng(18)
+closest_product_overlap(product(rng, 4), 4)  # imports and first-call allocations
+psi = product(rng, 18)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+p = closest_product_overlap(psi, 18)[0]
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(p, 1024 * (after - before))
+"""
 
 
 class TestPathPoint:
@@ -572,18 +599,34 @@ class TestOracle:
         calls = []
 
         def never_converges(psi, n, factors, max_sweeps, tol):
-            calls.append(1)
-            return 0.5, max_sweeps, False
+            calls.append(factors.shape)
+            starts = len(factors)
+            return np.full(starts, 0.5), np.full(starts, max_sweeps), np.zeros(starts, dtype=bool)
 
         monkeypatch.setattr(kernels, "product_ascent", never_converges)
         rng = np.random.default_rng(4)
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
         with pytest.raises(ConvergenceError) as info:
             closest_product_overlap(psi, 3)
-        assert len(calls) == 34  # 32 random + 2 deterministic starts
+        assert calls == [(34, 3, 2)]  # one call: 32 random + 2 deterministic starts
         message = str(info.value)
         assert "n=3" in message and "34" in message and "500" in message
         assert "0.5" in message
+
+    def test_ascent_memory_linear_in_state_size(self):
+        # a fresh interpreter, whose peak RSS the call may raise by a bound of
+        # 16 complex state vectors; the 34 starts as one batch would need 34
+        src = str(Path(grovergeo.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", _ASCENT_MEMORY],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        p, growth = map(float, out.stdout.split())
+        assert p == pytest.approx(1.0, abs=1e-12)
+        assert growth < 16 * 16 * 2**18
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))

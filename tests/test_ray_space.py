@@ -70,11 +70,24 @@ class TestRayValidation:
 
     def test_normalised_constructions_keep_the_ray_checks(self):
         # these skip UnitVector's own checks, so they must not build a
-        # one-coordinate ray or, when |z|^2 overflows, an all-zero one
+        # one-coordinate ray or, when |z|^2 overflows, an all-zero one:
+        # the coordinates are scaled by a power of two first, which is exact
         with pytest.raises(InvalidRay):
             canonical_form(np.array([2.0]))
-        with np.errstate(over="ignore"), pytest.raises(InvalidRay):
-            CoherentProduct(4, 1e75).ray()
+        amps = np.complex128(1e75) ** np.array([4, 3, 3, 2, 3, 2, 2, 1, 3, 2, 2, 1, 2, 1, 1, 0])
+        want = canonical_form(amps * 2.0**-1000).coords
+        with np.errstate(over="ignore"):  # the first |z|^2
+            got = CoherentProduct(4, 1e75).ray().coords
+        assert np.array_equal(got, want)
+
+    def test_underflowing_coordinates_normalise(self):
+        # |z|^2 underflows to 0 although the coordinates do not
+        got = canonical_form([1e-170, 2e-170, 0.0, 0.0]).coords
+        want = canonical_form(np.array([1e-170, 2e-170, 0.0, 0.0]) * 2.0**600).coords
+        assert np.array_equal(got, want)
+        assert abs(np.linalg.norm(got) - 1.0) < 1e-15
+        with pytest.raises(InvalidRay):
+            canonical_form([0.0, 0.0, 0.0])
 
 
 class TestCanonicalForm:

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grovergeo
 from grovergeo import (
     Ray,
     canonical_form,
@@ -17,7 +22,7 @@ from grovergeo import (
     segre_embed,
 )
 from grovergeo.errors import DimensionError, DomainError
-from grovergeo.segre import _max_minor_residual
+from grovergeo.segre import _max_minor_residual, _minor_norm
 
 
 def _rand_ray(rng, dim):
@@ -179,6 +184,53 @@ class TestEmbedResidual:
                     want = max(want, float(np.abs(block).max()))
         assert _max_minor_residual(m) == want
         assert _max_minor_residual(np.repeat(distinct[:1], rows, axis=0)) == 0.0
+
+    def test_residual_leaves_numpy_ma_unimported(self):
+        # numpy.ma costs about 0.6 MB of RSS; a fresh interpreter shows whether it loads
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from grovergeo import Ray, max_quadric_residual\n"
+            "z = np.arange(1.0, 65.0) + 1j\n"
+            "max_quadric_residual(Ray(z), 31, 1)\n"
+            "max_quadric_residual(Ray(z), 7, 7)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(grovergeo.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
+
+
+class TestMinorNorm:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        kind=st.sampled_from(["random", "rank-1", "rank-1 plus noise"]),
+        rows=st.integers(2, 300),
+        noise=st.floats(-17.0, -4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bounds_the_largest_minor(self, kind, rows, noise, seed):
+        # so at one tol the QR certificate accepts no state the max-minor test rejects
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))
+        if kind != "random":
+            m = np.outer(m[:, 0], m[0])
+        if kind == "rank-1 plus noise":
+            m += 10.0**noise * (rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2)))
+        m /= np.linalg.norm(m)
+        residual = _minor_norm(m)
+        assert residual >= _max_minor_residual(m) - 2.2e-16
+        if kind == "random":
+            # Cauchy-Binet: the root-sum-square of every 2x2 minor
+            minors = np.outer(m[:, 0], m[:, 1]) - np.outer(m[:, 1], m[:, 0])
+            rss = math.sqrt(float(np.sum(np.abs(np.triu(minors, 1)) ** 2)))
+            assert residual == pytest.approx(rss, rel=1e-12)
 
 
 class TestFullSeparability:
