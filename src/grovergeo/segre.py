@@ -70,8 +70,9 @@ class SeparabilityReport:
     """Outcome of a full-separability test.
 
     ``max_residual`` is the largest root-sum-square of 2x2 minors met
-    across the recursion, one (N/2) x 2 coordinate matrix per level.  ``factors`` lists one dim-2 ray per qubit, most significant
-    bit first, and is None when the state is not fully separable.
+    across the recursion, one (N/2) x 2 coordinate matrix per level.
+    ``factors`` lists one dim-2 ray per qubit, most significant bit first,
+    and is None when the state is not fully separable.
     """
 
     fully_separable: bool
@@ -184,10 +185,10 @@ def is_fully_separable(r: Ray, n: int, tol: float = 1e-9) -> SeparabilityReport:
     Recursively tests the (2^(n-1)-1, 1) split: the even- and odd-index
     coordinate slices must be proportional, that is the root-sum-square of
     the 2x2 minors of their (N/2) x 2 matrix must be at most ``tol``.  On
-    success the slice of larger
-    norm serves as the remaining (n-1)-qubit state and the proportionality
-    pair becomes the last qubit's factor.  Extracted factors are verified
-    by recomposition before the state is declared separable.
+    success the slice of larger norm serves as the remaining (n-1)-qubit
+    state and the proportionality pair becomes the last qubit's factor.
+    Extracted factors are verified by recomposition before the state is
+    declared separable.
     """
     n = int(n)
     if n < 1:
