@@ -144,7 +144,8 @@ def grover_trace(n, target, kmax):
     default="exact",
     show_default=True,
 )
-@click.option("--seed", type=int, default=0, show_default=True, help="Oracle RNG seed.")
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Seed of the oracle's ascent starts for non-symmetric states; path states never use it.")
 def entangle_sweep(n, points, method, seed):
     """Sweep entanglement along the search path at uniform path angles."""
     _check_n(n, 1, _MAX_QUBITS)

@@ -32,9 +32,10 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     DomainError,
+    InvalidRay,
 )
 from .grover_engine import _check_qubits, _path_angle, _path_level, _rotation_angle
-from .ray_space import Ray, UnitVector, _ascoords, _norm, _overlap_angle, _unit, _unit_vector, fs_distance
+from .ray_space import Ray, UnitVector, _ascoords, _overlap_angle, _unit, _unit_vector, fs_distance
 from .segre import max_quadric_residual
 
 __all__ = [
@@ -454,91 +455,88 @@ def _grid_starts(values: np.ndarray, peaks: int) -> tuple[np.ndarray, np.ndarray
     return top, np.setdiff1d(row_best, top)
 
 
-def _chart_candidates(coeffs, resolution):
-    """Chart points v of the coarse grid's best cell, then of the best polished starts.
+def _chart_candidates(coeffs):
+    """Chart points v of the coarse grid's best cell, then of the best polished starts, and their values.
 
     The grid's best local maxima are polished to convergence, together with
     the ``_POLISH_STARTS`` row-best cells that rank highest after
     ``_SCREEN_STEPS`` Newton steps; the highest polished points are kept.
+    A point's value is |coeffs(v)|^2 / (1+|v|^2)^n.
     """
-    r_grid = np.linspace(0.0, 1.0, resolution)
-    chi_grid = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
+    r_grid = np.linspace(0.0, 1.0, _ORACLE_RESOLUTION)
+    chi_grid = np.linspace(0.0, 2.0 * math.pi, _ORACLE_RESOLUTION, endpoint=False)
 
     def point(flat):
-        ir, ic = np.divmod(flat, resolution)
+        ir, ic = np.divmod(flat, _ORACLE_RESOLUTION)
         return r_grid[ir] * np.exp(1j * chi_grid[ic])
 
-    _, ir, ic, values = kernels.poly_grid_max(coeffs, r_grid, chi_grid)
+    best, ir, ic, values = kernels.poly_grid_max(coeffs, r_grid, chi_grid)
     peaks, row_best = _grid_starts(values, _POLISH_STARTS)
     columns = _derivative_columns(coeffs)
     starts = point(np.concatenate([peaks, row_best]))
     v, value = _newton_ascent(columns, starts, r_grid[1], _SCREEN_STEPS)
     ridge = peaks.size + np.argsort(-value[peaks.size :], kind="stable")[:_POLISH_STARTS]
     v, value = _newton_ascent(columns, v[np.r_[: peaks.size, ridge]], r_grid[1], _POLISH_STEPS)
-    v = v[np.argsort(-value, kind="stable")[:_POLISH_STARTS]]
-    return np.concatenate([point(np.array([ir * resolution + ic])), v])
+    kept = np.argsort(-value, kind="stable")[:_POLISH_STARTS]
+    return np.r_[point(np.array([ir * _ORACLE_RESOLUTION + ic])), v[kept]], np.r_[best, value[kept]]
 
 
-def closest_product_overlap(state, n: int, resolution: int = _ORACLE_RESOLUTION, seed: int = 0):
+def closest_product_overlap(state, n: int, seed: int = 0):
     """Best squared overlap of ``state`` with any n-qubit product state.
 
     Symmetric states (amplitudes constant on bit-count classes) have a
-    symmetric closest product state.  It is found on a coarse
-    ``resolution`` x ``resolution`` (r, chi) grid in both inhomogeneous
-    charts of the single-qubit sphere.  Its best local maxima and the best
-    cell of each r row are polished by Newton steps; the grid winner and the
-    highest polished points are ranked by their ``fs_distance`` to the
-    state.  The returned coordinates (r, chi) are the per-qubit point
-    (r e^{i chi}, 1), chi in [0, 2 pi), with r = inf meaning the product
-    |00...0>.  General states fall back to per-qubit coordinate ascent
-    from 34 starts (uniform, greedy and 32 seeded random ones) in one kernel
-    call; the first converged start of highest overlap wins, and the
-    coordinates are NaN.
+    symmetric closest product state.  It is found on a coarse 64 x 64
+    (r, chi) grid in both inhomogeneous charts of the single-qubit sphere.
+    Its best local maxima and the best cell of each r row are polished by
+    Newton steps.  The grid winner and the highest polished points are
+    ranked by their ``fs_distance`` to the state in Dicke coordinates
+    (sqrt(C(n, k)) times the class-k amplitude, n + 1 numbers), and the
+    winner's chart value is the overlap.  The returned coordinates
+    (r, chi) are the per-qubit point (r e^{i chi}, 1), chi in [0, 2 pi),
+    with r = inf meaning the product |00...0>.  General states fall back
+    to per-qubit coordinate ascent from 34 starts (uniform, greedy and 32
+    random ones drawn from ``seed``) in one kernel call; the first
+    converged start of highest overlap wins, and the coordinates are NaN.
 
     Returns ``(p, r_star, chi_star, symmetric)``.
     """
-    return _closest_product(state, n, resolution, seed)[:4]
+    return _closest_product(state, n, seed)[:4]
 
 
-def _closest_product(state, n: int, resolution: int, seed: int):
+def _closest_product(state, n: int, seed: int):
     """:func:`closest_product_overlap`'s tuple, plus the product vector found."""
     psi = _ascoords(state)
     _check_qubits(n)
     if psi.size != 1 << n:
         raise DimensionError(f"state has size {psi.size}, expected {1 << n}")
-    if not np.all(np.isfinite(psi)):  # before the norm, whose |inf|^2 warns
-        raise DomainError("state must be a nonzero finite vector")
-    nrm = _norm(psi)
-    if nrm == 0.0 or not math.isfinite(nrm):
-        raise DomainError("state must be a nonzero finite vector")
-    psi = psi / nrm
-    if resolution < 2:
-        raise DomainError("resolution must be at least 2")
+    try:
+        psi = _unit(psi)
+    except InvalidRay as exc:
+        raise DomainError("state must be a nonzero finite vector") from exc
 
     zeros = _zeros_per_index(n)
-    sym = True
-    for z in range(n + 1):
-        cls = psi[zeros == z]
-        if np.max(np.abs(cls - cls.mean())) > _SYMMETRY_TOL:
-            sym = False
-            break
-
-    if sym:
+    sizes = np.bincount(zeros)  # C(n, k) indices in class k
+    sums = np.bincount(zeros, psi.real, n + 1) + 1j * np.bincount(zeros, psi.imag, n + 1)
+    means = sums / sizes
+    if np.max(np.abs(psi - means[zeros])) <= _SYMMETRY_TOL:
         # chart 1: per-qubit (v, 1), amplitude v^zeros(x)
-        a = np.zeros(n + 1, dtype=np.complex128)
-        np.add.at(a, zeros, np.conj(psi))
-        v1 = _chart_candidates(a, resolution)
+        v1, p1 = _chart_candidates(sums.conj())
         # chart 2: per-qubit (1, s), amplitude s^ones(x) with ones(x) = n - zeros(x); v = 1/s
-        s2 = _chart_candidates(a[::-1], resolution)
-        products = [_unit(v**zeros) for v in v1] + [_unit(s ** (n - zeros)) for s in s2]
-        k = int(np.argmin([fs_distance(psi, product) for product in products]))
-        if k < v1.size:
-            r_star, chi_star = abs(v1[k]), _phase(v1[k])
+        s2, p2 = _chart_candidates(sums[::-1].conj())
+        # ranked in Dicke coordinates, where fs_distance is that of the 2^n vectors
+        k = np.arange(n + 1)
+        root = np.sqrt(sizes)
+        dicke = root * means
+        candidates = [root * v**k for v in v1] + [root * s ** (n - k) for s in s2]
+        best = int(np.argmin([fs_distance(dicke, c) for c in candidates]))
+        if best < v1.size:
+            v = v1[best]
+            r_star, chi_star, product = abs(v), _phase(v), v**zeros
         else:
-            s = s2[k - v1.size]
+            s = s2[best - v1.size]
             r_star, chi_star = (math.inf if s == 0 else 1.0 / abs(s)), _phase(s.conjugate())
-        p = min(1.0, abs(np.vdot(products[k], psi)) ** 2)
-        return p, float(r_star), chi_star, True, products[k]
+            product = s ** (n - zeros)
+        return min(1.0, float(np.r_[p1, p2][best])), float(r_star), chi_star, True, _unit(product)
 
     starts = np.empty((_ASCENT_STARTS + 2, n, 2), dtype=np.complex128)
     starts[0] = 1.0 / math.sqrt(2.0)
@@ -562,11 +560,13 @@ def _closest_product(state, n: int, resolution: int, seed: int):
     return min(1.0, float(p[k])), math.nan, math.nan, False, reduce(np.kron, starts[k])
 
 
-def entanglement_grid_oracle(
-    state, n: int, resolution: int = _ORACLE_RESOLUTION, seed: int = 0
-) -> EntanglementResult:
-    """Entanglement of an arbitrary state: its distance to the best product found."""
-    _, r_star, chi_star, _, product = _closest_product(state, n, resolution, seed)
+def entanglement_grid_oracle(state, n: int, seed: int = 0) -> EntanglementResult:
+    """Entanglement of an arbitrary state: its ``fs_distance`` to the best product found.
+
+    The product is :func:`closest_product_overlap`'s, as one 2^n vector, so
+    a product state reads exactly 0.
+    """
+    _, r_star, chi_star, _, product = _closest_product(state, n, seed)
     return EntanglementResult(fs_distance(state, product), r_star, chi_star, "oracle", None)
 
 
@@ -579,10 +579,7 @@ def _unit_2q(state) -> np.ndarray:
     psi = _ascoords(state)
     if psi.size != 4:
         raise DimensionError(f"expected a 4-component state, got size {psi.size}")
-    nrm = _norm(psi)
-    if nrm == 0.0:
-        raise DomainError("state must be nonzero")
-    return psi / nrm
+    return _unit(psi)
 
 
 def reduced_density_2q(state) -> np.ndarray:

@@ -17,10 +17,11 @@ import numpy as np
 from .errors import (
     DegenerateKernel,
     DomainError,
+    InvalidRay,
     SizeError,
     UnreachableTarget,
 )
-from .ray_space import UnitVector, _ascoords, _norm, _unit_vector
+from .ray_space import UnitVector, _ascoords, _unit, _unit_vector
 
 __all__ = [
     "SearchInstance",
@@ -184,13 +185,13 @@ class GeodesicKernelParams:
     __slots__ = ("overlap", "angle", "state")
 
     def __init__(self, state, target: int):
-        v = _ascoords(state).copy()
-        if not np.all(np.isfinite(v)):  # before the norm, whose |inf|^2 warns
-            raise DomainError("start state must be a finite vector")
-        norm = _norm(v)
-        if norm == 0.0:
+        v = _ascoords(state)
+        if not v.any():
             raise DegenerateKernel("zero start state")
-        v /= norm
+        try:
+            v = _unit(v)
+        except InvalidRay as exc:
+            raise DomainError("start state must be a finite vector") from exc
         target = int(target)
         if not 0 <= target < v.size:
             raise DomainError(f"target {target} outside [0, {v.size})")

@@ -22,27 +22,22 @@ def poly_grid_max(coeffs, r_grid, chi_grid):
     """Maximize |poly(v)|^2 / (1+r^2)^deg over the grid v = r e^{i chi}.
 
     ``coeffs`` holds the polynomial coefficients, constant term first; its
-    degree fixes the normalizing power.  Returns (best value, r index,
-    chi index, values): ties resolve to the lowest r index, then lowest chi
-    index, and ``values`` is the (r, chi) array of the function on the grid.
+    degree fixes the normalizing power.  The whole grid is evaluated at
+    once, with two complex temporaries of its size (16 MB each at 1024^2).
+    Returns (best value, r index, chi index, values): ties resolve to the
+    lowest r index, then lowest chi index, and ``values`` is the (r, chi)
+    array of the function on the grid.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.complex128)
     r_grid = np.ascontiguousarray(r_grid, dtype=np.float64)
     chi_grid = np.ascontiguousarray(chi_grid, dtype=np.float64)
     deg = coeffs.size - 1
-    phases = np.exp(1j * chi_grid)
-    values = np.empty((r_grid.size, chi_grid.size))
-    # chunk rows to bound the temporary complex arrays at a few million entries
-    chunk = max(1, 4_000_000 // max(chi_grid.size, 1))
-    for start in range(0, r_grid.size, chunk):
-        rows = r_grid[start : start + chunk]
-        v = rows[:, None] * phases[None, :]
-        acc = np.full(v.shape, coeffs[deg], dtype=np.complex128)
-        for z in range(deg - 1, -1, -1):
-            acc *= v
-            acc += coeffs[z]
-        denom = (1.0 + rows * rows) ** deg
-        values[start : start + rows.size] = (acc.real**2 + acc.imag**2) / denom[:, None]
+    v = r_grid[:, None] * np.exp(1j * chi_grid)[None, :]
+    acc = np.full(v.shape, coeffs[deg], dtype=np.complex128)
+    for z in range(deg - 1, -1, -1):
+        acc *= v
+        acc += coeffs[z]
+    values = (acc.real**2 + acc.imag**2) / ((1.0 + r_grid * r_grid) ** deg)[:, None]
     ir, ic = divmod(int(np.argmax(values)), chi_grid.size)
     return float(values[ir, ic]), ir, ic, values
 

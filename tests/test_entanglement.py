@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import grovergeo
@@ -40,7 +41,9 @@ from grovergeo.errors import (
     ConvergenceError,
     DimensionError,
     DomainError,
+    InvalidRay,
 )
+from grovergeo.ray_space import _norm
 
 # a seeded 18-qubit product state: every start of the ascent converges in 2 sweeps
 _ASCENT_MEMORY = """
@@ -387,13 +390,20 @@ def _brute_force_grid_overlap(psi, n, resolution=256):
     """
     zeros = np.array([n - bin(x).count("1") for x in range(1 << n)])
     coeffs = np.zeros(n + 1, dtype=complex)
-    np.add.at(coeffs, zeros, np.conj(psi) / np.linalg.norm(psi))
+    # the pairwise norm: the BLAS one reads p 4.3e-15 high on _EXACT_REFERENCE_CLASSES
+    np.add.at(coeffs, zeros, np.conj(psi) / _norm(psi))
     r = np.linspace(0.0, 1.0, resolution)
     chi = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
     return max(kernels.poly_grid_max(c, r, chi)[0] for c in (coeffs, coeffs[::-1]))
 
 
 _CLASS_AMPLITUDE = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+# an n = 10 symmetric state, classes (normal + i normal) * U(0, 1)^8, whose best
+# product is |00...0> with p = 0.821554927784684357 (40-digit mpmath)
+_rng = np.random.default_rng(345)
+_EXACT_REFERENCE_CLASSES = _rng.normal(size=11) + 1j * _rng.normal(size=11)
+_EXACT_REFERENCE_SCALES = _rng.uniform(size=11)
 
 # an n = 8 symmetric state (class amplitudes by number of zero bits) whose best
 # product sits on a ridge about 0.02 wide near v = 0.09 e^{3.47 i}: no cell of
@@ -445,6 +455,13 @@ class TestOracle:
         scale_power=st.sampled_from([0, 4, 8]),
         path_level=st.none() | st.floats(0.0, 1.0),
     )
+    @example(
+        n=10,
+        classes=[*_EXACT_REFERENCE_CLASSES, 0, 0, 0, 0],
+        scales=[*_EXACT_REFERENCE_SCALES, 0, 0, 0, 0],
+        scale_power=8,
+        path_level=None,
+    )
     def test_polish_beats_a_brute_force_grid(self, n, classes, scales, scale_power, path_level):
         zeros = np.array([n - bin(x).count("1") for x in range(1 << n)])
         if path_level is None:
@@ -465,6 +482,35 @@ class TestOracle:
             assert oracle.value <= fs_distance(psi, CoherentProduct(n, exact.r_star).ray()) + 1e-15
             if exact.value >= 1e-3:
                 assert abs(oracle.value - exact.value) <= 1e-10
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), nudge=st.sampled_from([None, 1e-12, 1e-6]))
+    def test_dicke_coordinates_are_an_isometry(self, n, seed, nudge):
+        # a symmetric state's Dicke coordinates are sqrt(C(n, k)) times its class-k amplitude
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(2, n + 1)) + 1j * rng.normal(size=(2, n + 1))
+        if nudge is not None:
+            b = a + nudge * b  # near-equal classes, where the distance is smallest
+        root = np.sqrt([math.comb(n, k) for k in range(n + 1)])
+        zeros = np.array([n - bin(x).count("1") for x in range(1 << n)])
+        assert abs(fs_distance(root * a, root * b) - fs_distance(a[zeros], b[zeros])) <= 2e-15
+
+    def test_symmetric_candidates_are_ranked_in_dicke_coordinates(self, monkeypatch):
+        sizes = []
+
+        def recorded(a, b):
+            sizes.append((len(a), len(b)))
+            return fs_distance(a, b)
+
+        monkeypatch.setattr(ent, "fs_distance", recorded)
+        n = 8
+        psi = grover_path_ray(n, 0.3)
+        assert closest_product_overlap(psi, n)[3]
+        assert sizes and set(sizes) == {(n + 1, n + 1)}
+        # the oracle's E is the one distance taken on 2^n vectors, to the winner's product
+        sizes.clear()
+        entanglement_grid_oracle(psi, n)
+        assert set(sizes[:-1]) == {(n + 1, n + 1)} and sizes[-1] == (1 << n, 1 << n)
 
     def test_finds_a_maximum_off_the_grid_maxima(self):
         psi = np.array(_RIDGE_CLASSES)[[8 - bin(x).count("1") for x in range(256)]]
@@ -506,19 +552,19 @@ class TestOracle:
         rng = np.random.default_rng(0)
         for n in [2, 3, 5]:
             for u in rng.random(3):
-                o = entanglement_grid_oracle(grover_path_ray(n, u), n, resolution=512)
+                o = entanglement_grid_oracle(grover_path_ray(n, u), n)
                 e = entanglement_exact(n, u).value
                 assert o.value == pytest.approx(e, abs=2e-3)
 
     def test_refinement_accuracy(self):
-        o = entanglement_grid_oracle(grover_path_ray(3, 0.2), 3, resolution=2048)
+        o = entanglement_grid_oracle(grover_path_ray(3, 0.2), 3)
         e = entanglement_exact(3, 0.2).value
         assert o.value == pytest.approx(e, abs=1e-7)
 
     def test_large_qubit_count_cross_route(self):
         # grid search and root-finding stay consistent well past the fold
         u = GroverPathPoint.from_angle(15, np.pi / 4).u
-        o = entanglement_grid_oracle(grover_path_ray(15, u), 15, resolution=2048)
+        o = entanglement_grid_oracle(grover_path_ray(15, u), 15)
         e = entanglement_exact(15, u).value
         assert o.value == pytest.approx(e, abs=1e-6)
 
@@ -539,7 +585,7 @@ class TestOracle:
     def test_product_states_read_exactly_zero(self):
         # E is the distance to the best product vector, not 2*acos(sqrt(p)),
         # which reads 3e-8 when p is one ulp below 1
-        assert entanglement_grid_oracle(grover_path_ray(7, 1.0), 7, resolution=64).value == 0.0
+        assert entanglement_grid_oracle(grover_path_ray(7, 1.0), 7).value == 0.0
         rng = np.random.default_rng(6)
         f = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
         psi = f[0]
@@ -555,9 +601,9 @@ class TestOracle:
         psi = grover_path_ray(4, 0.3).coords
         if not symmetric:
             psi = psi + 0.1 * rng.normal(size=16)
-        p, _, _, sym = closest_product_overlap(psi, 4, resolution=256)
+        p, _, _, sym = closest_product_overlap(psi, 4)
         assert sym == symmetric
-        res = entanglement_grid_oracle(psi, 4, resolution=256)
+        res = entanglement_grid_oracle(psi, 4)
         assert res.value == pytest.approx(2.0 * np.arccos(np.sqrt(p)), abs=1e-12)
 
     def test_w_state_symmetric_chart(self):
@@ -651,9 +697,14 @@ class TestOracle:
         with pytest.raises(DomainError):
             entanglement_grid_oracle(np.zeros(8), 3)
         with pytest.raises(DomainError):
-            closest_product_overlap(np.ones(8), 3, resolution=1)
-        with pytest.raises(DomainError):
             closest_product_overlap(np.array([np.inf, 0.0, 0.0, 1.0]), 2)
+        with pytest.raises(DomainError):
+            closest_product_overlap(np.array([np.nan, 0.0, 0.0, 1.0]), 2)
+
+    def test_underflowing_state_normalises(self):
+        # |z|^2 underflows to 0: the state is rescaled by a power of two, not rejected
+        res = entanglement_grid_oracle(np.array([1e-200, 0.0, 0.0, 1e-200]), 2)
+        assert res.value == pytest.approx(np.pi / 2, abs=1e-15)
 
 
 class TestPairwiseMeasures:
@@ -722,3 +773,9 @@ class TestPairwiseMeasures:
             pair_entropy_from_concurrence(1.5)
         with pytest.raises(DimensionError):
             partial_entropy(np.ones((2, 3)))
+        for bad in ([0.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 1.0], [np.inf, 0.0, 0.0, 1.0]):
+            with pytest.raises(InvalidRay):
+                concurrence(bad)
+
+    def test_underflowing_state_normalises(self):
+        assert concurrence([1e-200, 0.0, 0.0, 1e-200]) == pytest.approx(1.0, abs=1e-15)

@@ -233,6 +233,11 @@ class TestGeneralizedKernel:
                 with pytest.raises(DomainError):
                     GeodesicKernelParams(np.array([bad, 1.0]), target)
 
+    def test_underflowing_start_state_normalises(self):
+        # |z|^2 underflows to 0: the state is rescaled by a power of two, not rejected
+        par = GeodesicKernelParams(np.array([1e-200, 1e-200]), 0)
+        assert par.overlap == pytest.approx(2**-0.5, abs=1e-15)
+
     def test_target_mismatch_rejected(self):
         par = GeodesicKernelParams(fourier_state(2, 1), 0)
         with pytest.raises(DomainError):
