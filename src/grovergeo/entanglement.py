@@ -13,10 +13,10 @@ entropy) used to cross-check the two-qubit case.
 Conventions: qubit ``j`` of basis index ``x`` is bit ``n - 1 - j`` (index 0
 is |00...0>, index N-1 the marked state |11...1>).  A coherent product
 state has per-qubit coordinates (v, 1), so its amplitude at ``x`` is
-``v ** zeros(x)``.  Entanglement is the Fubini-Study angle
-``E = 2 arccos sqrt(P)`` where ``P`` is the best squared overlap with a
-product state.  The oracle takes E as the ``fs_distance`` to its best product
-vector, exact near 0; the other routes know only ``P`` and convert it.
+``v ** zeros(x)``.  Entanglement E is the Fubini-Study distance to the
+product state a route finds, in Kahan's form 4 atan2(|x - y|, |x + y|),
+exact near 0: ``fs_distance`` on 2^n vectors for the oracle, a sum over
+the n + 1 bit-count classes for the path routes.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ from .errors import (
     InvalidRay,
 )
 from .grover_engine import _check_qubits, _path_angle, _path_level, _rotation_angle
-from .ray_space import Ray, UnitVector, _ascoords, _overlap_angle, _unit, _unit_vector, fs_distance
+from .ray_space import Ray, UnitVector, _ascoords, _unit, _unit_vector, fs_distance
 from .segre import max_quadric_residual
 
 __all__ = [
@@ -166,10 +166,12 @@ class CoherentProduct:
 
 @dataclass(frozen=True)
 class EntanglementResult:
-    """Entanglement value plus the maximizing product-state coordinates.
+    """Entanglement value plus the nearest product state's coordinates.
 
-    ``r_star``/``chi_star`` are NaN when the search did not go through the
-    symmetric chart; ``root_count`` is None unless the root-finding route
+    ``value`` is the Fubini-Study distance to the product the route found:
+    (r_star e^{i chi_star}, 1)^n, or a general product when ``r_star`` and
+    ``chi_star`` are NaN because the search did not go through the
+    symmetric chart.  ``root_count`` is None unless the root-finding route
     produced it.
     """
 
@@ -185,27 +187,25 @@ def grover_path_ray(n: int, u: float) -> UnitVector:
     return GroverPathPoint(n, u).ray()
 
 
-def _overlap_unchecked(n: int, u: float, v: complex) -> float:
-    size = 1 << n
-    num = 1.0 + u * ((1.0 + v) ** n - 1.0)
-    den = ((size - 1) * u * u + 1.0) * (1.0 + abs(v) ** 2) ** n
-    return abs(num) ** 2 / den
-
-
 def coherent_overlap(n: int, u: float, r: float, chi: float = 0.0) -> float:
     """Squared overlap of the path state (n, u) with the product (r e^{i chi}, 1)^n.
 
     Closed form of |<product|path>|^2; agrees with the literal inner
-    product of the expanded vectors.
+    product of the expanded vectors.  Past 1, u and r are inverted (marked
+    amplitude 1/u, product (1, e^{i chi} / r)^n), so no power overflows.
     """
-    point = GroverPathPoint(n, u)  # validates n, u
+    u = GroverPathPoint(n, u).u  # validates n, u
     r, chi = float(r), float(chi)
     if not math.isfinite(r) or r < 0.0:
         raise DomainError(f"radius must be finite and >= 0, got {r!r}")
     if not math.isfinite(chi):
         raise DomainError(f"phase must be finite, got {chi!r}")
-    v = r * complex(math.cos(chi), math.sin(chi))
-    return min(1.0, _overlap_unchecked(point.n, point.u, v))
+    marked, level = (1.0, u) if u <= 1.0 else (1.0 / u, 1.0)
+    w = (r if r <= 1.0 else 1.0 / r) * complex(math.cos(chi), math.sin(chi))
+    top = 1.0 if r <= 1.0 else w**n  # the marked state's product amplitude
+    num = marked * top + level * ((1.0 + w) ** n - top)
+    den = (((1 << n) - 1) * level * level + marked * marked) * (1.0 + abs(w) ** 2) ** n
+    return min(1.0, abs(num) ** 2 / den)
 
 
 def stationary_parameter(n: int, r: float) -> float:
@@ -270,63 +270,67 @@ def extremum_roots(n: int, u: float) -> list[float]:
     return out
 
 
-def _best_real_axis(n: int, u: float, candidates) -> tuple[float, float]:
-    best_p, best_r = -1.0, 0.0
-    for r in candidates:
-        p = _overlap_unchecked(n, u, complex(r))
-        if p > best_p:
-            best_p, best_r = p, float(r)
-    return min(1.0, best_p), best_r
+def _path_distance(n: int, u: float, r: float) -> float:
+    """Fubini-Study distance from the path state (n, u) to the product (r, 1)^n.
+
+    Kahan's 4 atan2(|x - y|, |x + y|), summed over the n + 1 classes of k
+    zero bits: C(n, k) indices each, path amplitude 1 at k = 0 (the marked
+    state) and u elsewhere, product amplitude r^k.  Past 1, u and r are
+    inverted (marked amplitude 1/u, product (1/r)^(n - k)), so no power
+    overflows.  The squared norms 1 + (2^n - 1) u^2 and (1 + r^2)^n agree
+    bit for bit at u = r = 1 and u = r = 0, which read exactly 0.
+    """
+    marked, level = (1.0, u) if u <= 1.0 else (1.0 / u, 1.0)
+    w, powers = (r, range(n + 1)) if r <= 1.0 else (1.0 / r, range(n, -1, -1))
+    a = math.sqrt(marked * marked + ((1 << n) - 1) * level * level)
+    b = math.sqrt((1.0 + w * w) ** n)
+    diff = total = 0.0
+    for k, e in enumerate(powers):
+        x, y = (level if k else marked) / a, w**e / b
+        diff += math.comb(n, k) * (x - y) ** 2
+        total += math.comb(n, k) * (x + y) ** 2
+    return 4.0 * math.atan2(math.sqrt(diff), math.sqrt(total))
 
 
 def entanglement_exact_2q(u: float) -> EntanglementResult:
     """Two-qubit entanglement of the path state, by the closed-form radius.
 
-    The stationarity condition is a quadratic in r; its positive root is
-    the maximizing radius.
+    The stationarity condition u r^2 + (1 - u) r - u = 0 has one root in
+    [0, 1].  The overlap rises from r = 0, so that root is the nearest
+    product's radius; it is taken in the form without cancellation.
     """
-    point = GroverPathPoint(2, u)
-    u = point.u
+    u = GroverPathPoint(2, u).u
     if u > 1.0:
         raise DomainError(f"path level must lie in [0, 1], got {u!r}")
-    if u == 0.0:
-        return EntanglementResult(0.0, 0.0, 0.0, "closed2q", None)
-    # u r^2 + (1 - u) r - u = 0, positive branch
-    disc = (1.0 - u) ** 2 + 4.0 * u * u
-    r = (-(1.0 - u) + math.sqrt(disc)) / (2.0 * u)
-    p, r_star = _best_real_axis(2, u, [0.0, r, 1.0])
-    return EntanglementResult(_overlap_angle(p), r_star, 0.0, "closed2q", None)
+    r = 2.0 * u / ((1.0 - u) + math.sqrt((1.0 - u) ** 2 + 4.0 * u * u))
+    return EntanglementResult(_path_distance(2, u, r), r, 0.0, "closed2q", None)
 
 
 def entanglement_exact(n: int, u: float) -> EntanglementResult:
     """Entanglement of the path state from the stationarity roots.
 
-    Evaluates the overlap at every stationary radius plus the interval
-    endpoints and keeps the best; the optimal product phase is 0 because
-    all path amplitudes are real and nonnegative.
+    Takes the distance to the product at every stationary radius and at
+    r = 0 and 1, and keeps the nearest, the smaller r on a tie; the optimal
+    product phase is 0 because all path amplitudes are real and nonnegative.
     """
-    point = GroverPathPoint(n, u)
-    if point.u > 1.0:
-        raise DomainError(f"path level must lie in [0, 1], got {point.u!r}")
-    roots = extremum_roots(n, point.u)
-    p, r_star = _best_real_axis(n, point.u, [0.0, 1.0] + roots)
-    return EntanglementResult(_overlap_angle(p), r_star, 0.0, "rootfind", len(roots))
+    u = GroverPathPoint(n, u).u
+    if u > 1.0:
+        raise DomainError(f"path level must lie in [0, 1], got {u!r}")
+    roots = extremum_roots(n, u)
+    e, r_star = min((_path_distance(n, u, r), r) for r in [0.0, 1.0, *roots])
+    return EntanglementResult(e, r_star, 0.0, "rootfind", len(roots))
 
 
 def entanglement_approx(n: int, u: float) -> EntanglementResult:
-    """Small-level approximation: evaluate the overlap at r = u / (1 - (n-1) u).
+    """Small-level approximation: the distance to the product at r = u / (1 - (n-1) u).
 
     Only defined while (n - 1) u < 1; raises ApproxDomainError beyond.
     """
-    point = GroverPathPoint(n, u)
-    u = point.u
+    u = GroverPathPoint(n, u).u
     if (n - 1) * u >= 1.0:
-        raise ApproxDomainError(
-            f"approximation needs (n - 1) * u < 1, got n={n} u={u!r}"
-        )
+        raise ApproxDomainError(f"approximation needs (n - 1) * u < 1, got n={n} u={u!r}")
     r_m = u / (1.0 - (n - 1) * u)
-    p = min(1.0, _overlap_unchecked(n, u, complex(r_m)))
-    return EntanglementResult(_overlap_angle(p), r_m, 0.0, "approx", None)
+    return EntanglementResult(_path_distance(n, u, r_m), r_m, 0.0, "approx", None)
 
 
 def half_way_angle(n: int) -> float:

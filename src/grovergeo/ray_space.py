@@ -243,11 +243,6 @@ def fs_distance(a: Ray | np.ndarray, b: Ray | np.ndarray) -> float:
     return 4.0 * math.atan2(_norm(diff), _norm(va))
 
 
-def _overlap_angle(p: float) -> float:
-    """Angle 2 arccos sqrt(p) of a squared overlap, for routes that know only p."""
-    return 2.0 * math.acos(math.sqrt(p))
-
-
 def geodesic_point(p1, p2, s: float) -> UnitVector:
     """Point at arc length ``s`` along the geodesic from ``p1`` toward ``p2``.
 

@@ -77,11 +77,11 @@ class TestCsvEnvelope:
 # blank root_count, the ``all`` header and the -0.0 fold
 _GOLDEN_STDOUT = {
     "grover-trace --n 2 --target 3 --kmax 2": "0deb9e0688a422cacba264d3a2410a1e6a65cd53edfcc45d3380098a228a7ec0",
-    "entangle-sweep --n 3 --points 5 --method exact": "f2ba3ea49f3e25015787b046b606ea83cb47ad4ad643c7508d2cad025f7b4b4c",
-    "entangle-sweep --n 3 --points 5 --method approx": "155155e355a881310c27f7db0caa60da8f12df2067c47c1c4e1172868ae44fc7",
+    "entangle-sweep --n 3 --points 5 --method exact": "d068f908b7f5a1f936cb840ded9e27fa1066b3ed93bfcb37845074a0087a6b50",
+    "entangle-sweep --n 3 --points 5 --method approx": "a7bf36052d8a7cd6070ef44bc1b4f0a0b204d2a3d1533ad9b1e47875efa12d62",
     "entangle-sweep --n 3 --points 5 --method oracle": "94f7712d1082b187551db6ca8fb21c00b75c9757b67050bb064caff0e6d99776",
-    "entangle-sweep --n 3 --points 5 --method all": "ced6647b5175a89a8a0f88d3c103b90aaef1f823220c8c0e68d66555787a7341",
-    "measure-compare --points 9": "059efdccc873bf1d1aafbb10e7c21f00d7cf40e97a145e0891a0f79148504be9",
+    "entangle-sweep --n 3 --points 5 --method all": "a0a43652e4028f821400dc7cfac298ecd18423c82a1db4d0a7310804c0e117a1",
+    "measure-compare --points 9": "da91f7f164c5ff7fb0924e8f06e5186202e69fbbaff9ef462c83f7df1960fd3a",
     "search-time --points 7": "bc80ba7295a8db38e9c16c66075696fafc901da58006e72e3e4ea29282972357",
     "separability --n 4 --points 7": "b2a8dca5c66ab027cd64e7c3d824140421e7b369d6e3ffaf6bf56484e2026a49",
 }

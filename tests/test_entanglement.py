@@ -138,6 +138,29 @@ class TestCoherentOverlap:
             want = abs(np.vdot(prod.coords, psi.coords)) ** 2
             assert coherent_overlap(n, u, r, chi) == pytest.approx(want, abs=1e-13)
 
+    def test_flipped_chart_matches_literal_inner_product(self):
+        # past 1, u and r are evaluated inverted
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            n = int(rng.integers(2, 7))
+            u, r = 10 ** rng.uniform(-1, 2, size=2)
+            chi = rng.uniform(0, 2 * np.pi)
+            psi = grover_path_ray(n, u)
+            prod = CoherentProduct(n, r * np.exp(1j * chi)).ray()
+            want = abs(np.vdot(prod.coords, psi.coords)) ** 2
+            assert coherent_overlap(n, u, r, chi) == pytest.approx(want, abs=1e-13)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        n=st.integers(2, 24),
+        u=st.floats(0.0, 1e300),
+        r=st.floats(0.0, 1e300),
+        chi=st.floats(0.0, 2 * np.pi),
+    )
+    @example(n=11, u=0.5, r=1e15, chi=0.0)
+    def test_large_radii_and_levels_stay_in_range(self, n, u, r, chi):
+        assert 0.0 <= coherent_overlap(n, u, r, chi) <= 1.0
+
     def test_phase_zero_is_best_for_path_states(self):
         for chi in np.linspace(0.1, 2 * np.pi - 0.1, 7):
             assert coherent_overlap(3, 0.2, 0.3, chi) <= coherent_overlap(3, 0.2, 0.3, 0.0)
@@ -248,6 +271,121 @@ class TestExactRouteProperties:
             assert best >= approx - tol
 
 
+# E of the exact route on a grid of n and u, to 42 digits: the largest squared
+# overlap P over r = 0, 1 and the real roots in [0, 1] of the stationarity
+# polynomial (mpmath.polyroots), then E = 2 acos(sqrt(P)), all at 60 digits
+# with mpmath; at 80 digits every value agrees to 1e-45
+_EXACT_REFERENCE = [
+    (2, 1 - 1e-7, "0.0000000500000024736822258117200863598034939059134"),
+    (2, 1 - 1e-5, "0.00000500002499999807641214269216630553579095668"),
+    (2, 1e-8, "0.0000000199999997999999957517845615668794018726316"),
+    (2, 1e-6, "0.00000199999799999533324482975039329673987432297"),
+    (2, 0.3, "0.337054389576235444212947517051527347401422"),
+    (3, 1 - 1e-7, "0.0000000500000038799324692044197425640411314210226"),
+    (3, 1 - 1e-5, "0.00000500003906274295222998436300412012721485201"),
+    (3, 1e-8, "0.0000000399999996999999828785690226307737008606752"),
+    (3, 1e-6, "0.00000399999699998204147919069300864756913728718"),
+    (3, 0.3, "0.568333257465393001006279302272238228023547"),
+    (4, 1 - 1e-7, "0.000000041457813602957492591505781828298137423665"),
+    (4, 1 - 1e-5, "0.00000414581844161337914541689146236933936349663"),
+    (4, 1e-8, "0.0000000663324954452943348442178586925341158509298"),
+    (4, 1e-6, "0.00000663324596252463182239711494008783612581122"),
+    (4, 0.3, "0.680929812212704942946297051951977752844523"),
+    (5, 1 - 1e-7, "0.0000000318688749921738609592059646602186562260174"),
+    (5, 1 - 1e-5, "0.00000318691768619899762506321520427906318564694"),
+    (5, 1e-8, "0.000000101980389879623296175039083926891354397875"),
+    (5, 1e-6, "0.0000101980351047305835097567418735433210029237"),
+    (5, 0.3, "0.633849860371559260329264180406453377138627"),
+    (8, 1 - 1e-7, "0.0000000122783087515764123125848312518846929655899"),
+    (8, 1 - 1e-5, "0.0000012278429785791813498832253686853390556172"),
+    (8, 1e-8, "0.000000314324672553712014755613244896716560525479"),
+    (8, 1e-6, "0.0000314324637250645888083462173051477384751442"),
+    (8, 0.3, "0.281615993638304955911188064926683714416946"),
+    (12, 1 - 1e-7, "0.00000000312003726274421857050194542698546155721749"),
+    (12, 1 - 1e-5, "0.000000312006814538688994095816116903612250729512"),
+    (12, 1e-8, "0.00000127796713552092311949405215704807508676488"),
+    (12, 1e-6, "0.000127796711332260061694251009100448139211068"),
+    (12, 0.3, "0.072726524582391517893140360235158352442981"),
+    (14, 1 - 1e-7, "0.00000000156178473582549971298766562756202026334491"),
+    (14, 1 - 1e-5, "0.000000156180019751498364071842691102922224935191"),
+    (14, 1e-8, "0.00000255882785651259584875647883849110228006419"),
+    (14, 1e-6, "0.000255882782845101886216405047525246104048007"),
+    (14, 0.3, "0.0364323866903009424644552886696159355964806"),
+    (20, 1 - 1e-7, "0.000000000195310563641035919460101953133793636190784"),
+    (20, 1 - 1e-5, "0.0000000195312497335022531443090008800290299038851"),
+    (20, 1e-8, "0.0000204797949200952703938526293562331390294505"),
+    (20, 1e-6, "0.00204797877588730579637421457332319626843504"),
+    (20, 0.3, "0.00455722800144160203332659173234115966285383"),
+    (24, 1 - 1e-7, "0.0000000000488280934773064806812950765029461965584629"),
+    (24, 1 - 1e-5, "0.00000000488285769057161088971804986652423766299581"),
+    (24, 1e-8, "0.0000819199389189945574044138411963708067194884"),
+    (24, 1e-6, "0.00819194808382809951990448984138218456300739"),
+    (24, 0.3, "0.00113932178610591435653569652620130878085786"),
+]
+
+_LEVELS_NEAR_PRODUCTS = [1 - 1e-7, 1 - 1e-5, 1 - 2**-52, 1e-6, 1e-8, 1e-300]
+
+
+class TestClassDistance:
+    """The closed-form, root-finding and approximate routes' one distance."""
+
+    def test_exact_route_matches_the_frozen_reference(self):
+        for n, u, want in _EXACT_REFERENCE:
+            assert abs(entanglement_exact(n, u).value - float(want)) <= 1e-15, (n, u)
+
+    @_PROPERTY_SETTINGS
+    @given(n=st.integers(1, 14), u=st.sampled_from(_LEVELS_NEAR_PRODUCTS) | st.floats(0.0, 1.0))
+    @example(n=2, u=1 - 1e-7)
+    @example(n=2, u=1 - 1e-5)
+    @example(n=2, u=1 - 2**-52)
+    @example(n=2, u=1e-6)
+    @example(n=2, u=1e-8)
+    @example(n=2, u=1e-300)
+    def test_each_route_reads_the_distance_to_its_product(self, n, u):
+        results = [entanglement_exact(n, u)]
+        if n == 2:
+            results.append(entanglement_exact_2q(u))
+        if (n - 1) * u < 1.0:
+            results.append(entanglement_approx(n, u))
+        psi = grover_path_ray(n, u)
+        for res in results:
+            # an approximate radius near 1e15 overflows |z|^2 in _unit, which
+            # warns before it rescales the product
+            with np.errstate(over="ignore"):
+                want = fs_distance(psi, CoherentProduct(n, res.r_star).ray())
+            assert abs(res.value - want) <= 1e-15, res.method
+
+    def test_path_endpoints_read_exactly_zero(self):
+        # the uniform state is the product at r = 1, the marked state the one at r = 0
+        for n in range(1, 25):
+            assert entanglement_exact(n, 1.0).value == 0.0
+            assert entanglement_exact(n, 0.0).value == 0.0
+            assert entanglement_approx(n, 0.0).value == 0.0
+        assert entanglement_exact_2q(1.0).value == entanglement_exact_2q(0.0).value == 0.0
+
+    @_PROPERTY_SETTINGS
+    @given(u=st.floats(0.0, 1e300))
+    @example(u=0.3375)  # 2 acos(sqrt(P)) read 5.2e-8 at these levels
+    @example(u=0.372)
+    @example(u=0.063)
+    def test_one_qubit_states_are_products(self, u):
+        if u <= 1.0:
+            assert entanglement_exact(1, u).value == 0.0
+        assert entanglement_approx(1, u).value == 0.0
+
+    @_PROPERTY_SETTINGS
+    @given(n=st.integers(2, 24), ulps=st.integers(1, 2**52))
+    @example(n=24, ulps=1)
+    def test_approx_stays_finite_up_to_its_domain_edge(self, n, ulps):
+        # the last levels below 1 / (n - 1) put r_m near 1e15 and beyond
+        edge = 1.0 / (n - 1)
+        u = max(0.0, edge - ulps * math.ulp(edge))
+        assume((n - 1) * u < 1.0)
+        res = entanglement_approx(n, u)
+        assert math.isfinite(res.r_star)
+        assert 0.0 <= res.value <= math.pi
+
+
 class TestExactTwoQubit:
     FROZEN = {
         1 / 3: 0.3398369094541249,
@@ -274,7 +412,7 @@ class TestExactTwoQubit:
 
     def test_product_endpoints(self):
         assert entanglement_exact_2q(0.0).value == 0.0
-        assert entanglement_exact_2q(1.0).value == pytest.approx(0.0, abs=1e-7)
+        assert entanglement_exact_2q(1.0).value == 0.0
 
     def test_agrees_with_schmidt_route(self):
         # largest singular value of the 2x2 amplitude matrix is the overlap
@@ -477,11 +615,7 @@ class TestOracle:
         if path_level is not None:
             exact = entanglement_exact(n, path_level)
             oracle = entanglement_grid_oracle(psi, n)
-            # the exact route's 2 acos(sqrt(P)) resolves E only to about 1e-15 / E, so
-            # below E = 1e-3 the oracle is held to the distance of that route's product
-            assert oracle.value <= fs_distance(psi, CoherentProduct(n, exact.r_star).ray()) + 1e-15
-            if exact.value >= 1e-3:
-                assert abs(oracle.value - exact.value) <= 1e-10
+            assert abs(oracle.value - exact.value) <= 1e-15
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), nudge=st.sampled_from([None, 1e-12, 1e-6]))

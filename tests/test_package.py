@@ -24,14 +24,12 @@ def test_state_vectors_use_the_one_norm():
     assert found == []
 
 
-def test_one_arccos_of_an_overlap():
-    # ray_space.fs_distance resolves every distance between two vectors; an
-    # arccos of an overlap reads 0 below about 3e-8.  Only the routes that know
-    # nothing but the squared overlap P convert it, in ray_space's one helper.
-    allowed = ("ray_space.py", "return 2.0 * math.acos(math.sqrt(p))")
+def test_no_arccos_of_an_overlap():
+    # ray_space.fs_distance and the path routes' class sum take every distance
+    # in Kahan's atan2 form; an arccos of an overlap reads 0 below about 3e-8
     found = []
     for path in sorted(Path(grovergeo.__file__).parent.glob("*.py")):
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            if ("acos(" in line or "arccos(" in line) and (path.name, line.strip()) != allowed:
+            if "acos(" in line or "arccos(" in line:
                 found.append(f"{path.name}:{number}: {line.strip()}")
     assert found == []
