@@ -84,11 +84,17 @@ def _zeros_per_index(n: int) -> np.ndarray:
     return z
 
 
+def _chart(x):
+    """Homogeneous pair (x, 1) for |x| <= 1, else (1, 1/x): no power of either entry overflows."""
+    return (x, 1.0) if abs(x) <= 1.0 else (1.0, 1.0 / x)
+
+
 @dataclass(frozen=True)
 class GroverPathPoint:
     """One state of the search path: unmarked level ``u`` on ``n`` qubits.
 
     ``u = 1`` is the uniform superposition, ``u = 0`` the marked state.
+    The ray (u, ..., u, 1) is built from ``_chart(u)``, as (level, marked).
     """
 
     n: int
@@ -128,17 +134,19 @@ class GroverPathPoint:
 
     @property
     def success_probability(self) -> float:
-        return 1.0 / ((self.size - 1) * self.u**2 + 1.0)
+        level, marked = _chart(self.u)
+        return marked**2 / ((self.size - 1) * level**2 + marked**2)
 
     def ray(self) -> UnitVector:
-        z = np.full(self.size, self.u, dtype=np.complex128)
-        z[self.size - 1] = 1.0
+        level, marked = _chart(self.u)
+        z = np.full(self.size, level, dtype=np.complex128)
+        z[self.size - 1] = marked
         return _unit_vector(z)
 
 
 @dataclass(frozen=True)
 class CoherentProduct:
-    """Symmetric product state with per-qubit coordinates (v, 1)."""
+    """Symmetric product state with per-qubit coordinates (v, 1), built from ``_chart(v)``."""
 
     n: int
     v: complex
@@ -146,8 +154,8 @@ class CoherentProduct:
     def __post_init__(self):
         _check_qubits(self.n)
         v = complex(self.v)
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise DomainError(f"coordinate must be finite, got {self.v!r}")
+        if not math.isfinite(math.hypot(v.real, v.imag)):  # also |v|, which _chart takes
+            raise DomainError(f"coordinate must have a finite modulus, got {self.v!r}")
         object.__setattr__(self, "v", v)
 
     @property
@@ -159,9 +167,9 @@ class CoherentProduct:
         return math.atan2(self.v.imag, self.v.real)
 
     def ray(self) -> UnitVector:
+        a, b = _chart(self.v)
         zeros = _zeros_per_index(self.n)
-        amps = np.asarray(self.v, dtype=np.complex128) ** zeros
-        return _unit_vector(amps)
+        return _unit_vector(a**zeros * b ** (self.n - zeros))
 
 
 @dataclass(frozen=True)
@@ -191,8 +199,8 @@ def coherent_overlap(n: int, u: float, r: float, chi: float = 0.0) -> float:
     """Squared overlap of the path state (n, u) with the product (r e^{i chi}, 1)^n.
 
     Closed form of |<product|path>|^2; agrees with the literal inner
-    product of the expanded vectors.  Past 1, u and r are inverted (marked
-    amplitude 1/u, product (1, e^{i chi} / r)^n), so no power overflows.
+    product of the expanded vectors.  The level and the point r e^{i chi}
+    are taken in ``_chart``'s homogeneous pairs, so no power overflows.
     """
     u = GroverPathPoint(n, u).u  # validates n, u
     r, chi = float(r), float(chi)
@@ -200,11 +208,11 @@ def coherent_overlap(n: int, u: float, r: float, chi: float = 0.0) -> float:
         raise DomainError(f"radius must be finite and >= 0, got {r!r}")
     if not math.isfinite(chi):
         raise DomainError(f"phase must be finite, got {chi!r}")
-    marked, level = (1.0, u) if u <= 1.0 else (1.0 / u, 1.0)
-    w = (r if r <= 1.0 else 1.0 / r) * complex(math.cos(chi), math.sin(chi))
-    top = 1.0 if r <= 1.0 else w**n  # the marked state's product amplitude
-    num = marked * top + level * ((1.0 + w) ** n - top)
-    den = (((1 << n) - 1) * level * level + marked * marked) * (1.0 + abs(w) ** 2) ** n
+    level, marked = _chart(u)
+    a, b = _chart(r * complex(math.cos(chi), math.sin(chi)))
+    top = b**n  # the marked state's product amplitude
+    num = marked * top + level * ((a + b) ** n - top)
+    den = (((1 << n) - 1) * level * level + marked * marked) * (abs(a) ** 2 + abs(b) ** 2) ** n
     return min(1.0, abs(num) ** 2 / den)
 
 
@@ -257,7 +265,9 @@ def extremum_roots(n: int, u: float) -> list[float]:
             slope = u * ((1.0 + r) ** (n - 2) * (n - 2 - n * r) + 1.0) - 1.0
             if slope == 0.0:
                 break
-            r = min(1.0, max(0.0, r - _stationarity(n, u, r) / slope))
+            r, last = min(1.0, max(0.0, r - _stationarity(n, u, r) / slope)), r
+            if r == last:  # a fixed point: later steps would repeat it
+                break
         # a near-real complex pair or a root beyond [0, 1] has no sign change
         ulp_box = (max(0.0, math.nextafter(r, 0.0)), r, min(1.0, math.nextafter(r, 1.0)))
         values = [_stationarity(n, u, x) for x in ulp_box]
@@ -275,20 +285,22 @@ def _path_distance(n: int, u: float, r: float) -> float:
 
     Kahan's 4 atan2(|x - y|, |x + y|), summed over the n + 1 classes of k
     zero bits: C(n, k) indices each, path amplitude 1 at k = 0 (the marked
-    state) and u elsewhere, product amplitude r^k.  Past 1, u and r are
-    inverted (marked amplitude 1/u, product (1/r)^(n - k)), so no power
-    overflows.  The squared norms 1 + (2^n - 1) u^2 and (1 + r^2)^n agree
-    bit for bit at u = r = 1 and u = r = 0, which read exactly 0.
+    state) and u elsewhere, product amplitude r^k, both taken in
+    ``_chart``'s pairs: (level, marked) for u, a^k b^(n - k) for r.  The
+    squared norms 1 + (2^n - 1) u^2 and (1 + r^2)^n agree bit for bit at
+    u = r = 1 and u = r = 0, which read exactly 0.
     """
-    marked, level = (1.0, u) if u <= 1.0 else (1.0 / u, 1.0)
-    w, powers = (r, range(n + 1)) if r <= 1.0 else (1.0 / r, range(n, -1, -1))
-    a = math.sqrt(marked * marked + ((1 << n) - 1) * level * level)
-    b = math.sqrt((1.0 + w * w) ** n)
+    level, marked = _chart(u)
+    a, b = _chart(r)
+    path_norm = math.sqrt(marked * marked + ((1 << n) - 1) * level * level)
+    product_norm = math.sqrt((a * a + b * b) ** n)
+    level, marked = level / path_norm, marked / path_norm
     diff = total = 0.0
-    for k, e in enumerate(powers):
-        x, y = (level if k else marked) / a, w**e / b
-        diff += math.comb(n, k) * (x - y) ** 2
-        total += math.comb(n, k) * (x + y) ** 2
+    for k in range(n + 1):
+        x, y = level if k else marked, a**k * b ** (n - k) / product_norm
+        c = math.comb(n, k)
+        diff += c * (x - y) ** 2
+        total += c * (x + y) ** 2
     return 4.0 * math.atan2(math.sqrt(diff), math.sqrt(total))
 
 
@@ -309,15 +321,15 @@ def entanglement_exact_2q(u: float) -> EntanglementResult:
 def entanglement_exact(n: int, u: float) -> EntanglementResult:
     """Entanglement of the path state from the stationarity roots.
 
-    Takes the distance to the product at every stationary radius and at
-    r = 0 and 1, and keeps the nearest, the smaller r on a tie; the optimal
-    product phase is 0 because all path amplitudes are real and nonnegative.
+    Takes the distance to the product at every stationary radius in
+    ``_chart``'s first chart [0, 1] and keeps the nearest, the smaller r on a
+    tie; the product phase is 0 because the path amplitudes are nonnegative.
     """
     u = GroverPathPoint(n, u).u
     if u > 1.0:
         raise DomainError(f"path level must lie in [0, 1], got {u!r}")
     roots = extremum_roots(n, u)
-    e, r_star = min((_path_distance(n, u, r), r) for r in [0.0, 1.0, *roots])
+    e, r_star = min((_path_distance(n, u, r), r) for r in roots)
     return EntanglementResult(e, r_star, 0.0, "rootfind", len(roots))
 
 
@@ -523,24 +535,21 @@ def _closest_product(state, n: int, seed: int):
     sums = np.bincount(zeros, psi.real, n + 1) + 1j * np.bincount(zeros, psi.imag, n + 1)
     means = sums / sizes
     if np.max(np.abs(psi - means[zeros])) <= _SYMMETRY_TOL:
-        # chart 1: per-qubit (v, 1), amplitude v^zeros(x)
+        # each candidate is a per-qubit pair (a, b), amplitude a^zeros(x) b^(n - zeros(x)):
+        # chart 1 gives (v, 1), chart 2 (1, s), the point v = 1/s
         v1, p1 = _chart_candidates(sums.conj())
-        # chart 2: per-qubit (1, s), amplitude s^ones(x) with ones(x) = n - zeros(x); v = 1/s
         s2, p2 = _chart_candidates(sums[::-1].conj())
+        a, b = np.r_[v1, np.ones(s2.size)], np.r_[np.ones(v1.size), s2]
         # ranked in Dicke coordinates, where fs_distance is that of the 2^n vectors
         k = np.arange(n + 1)
         root = np.sqrt(sizes)
         dicke = root * means
-        candidates = [root * v**k for v in v1] + [root * s ** (n - k) for s in s2]
+        candidates = root * a[:, None] ** k * b[:, None] ** (n - k)
         best = int(np.argmin([fs_distance(dicke, c) for c in candidates]))
-        if best < v1.size:
-            v = v1[best]
-            r_star, chi_star, product = abs(v), _phase(v), v**zeros
-        else:
-            s = s2[best - v1.size]
-            r_star, chi_star = (math.inf if s == 0 else 1.0 / abs(s)), _phase(s.conjugate())
-            product = s ** (n - zeros)
-        return min(1.0, float(np.r_[p1, p2][best])), float(r_star), chi_star, True, _unit(product)
+        a, b = a[best], b[best]
+        r_star = math.inf if b == 0 else abs(a) / abs(b)
+        p = min(1.0, float(np.r_[p1, p2][best]))
+        return p, float(r_star), _phase(a * b.conjugate()), True, _unit(a**zeros * b ** (n - zeros))
 
     starts = np.empty((_ASCENT_STARTS + 2, n, 2), dtype=np.complex128)
     starts[0] = 1.0 / math.sqrt(2.0)

@@ -225,7 +225,7 @@ class TestEntangleSweep:
         assert headers[2] == "# config: n=2 points=5 method=all seed=0 resolution=64"
         for r in rows:
             e_exact, e_oracle = float(r[2]), float(r[4])
-            assert e_oracle == pytest.approx(e_exact, abs=2e-3)
+            assert abs(e_oracle - e_exact) <= 1e-15
 
     def test_oracle_qubit_cap(self, runner):
         res = runner.invoke(

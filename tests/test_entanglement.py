@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +44,7 @@ from grovergeo.errors import (
     DomainError,
     InvalidRay,
 )
-from grovergeo.ray_space import _norm
+from grovergeo.ray_space import _norm, _unit
 
 # a seeded 18-qubit product state: every start of the ascent converges in 2 sweeps
 _ASCENT_MEMORY = """
@@ -123,6 +124,8 @@ class TestCoherentProduct:
     def test_finite_guard(self):
         with pytest.raises(DomainError):
             CoherentProduct(2, np.inf)
+        with pytest.raises(DomainError):  # finite parts, but |v| overflows
+            CoherentProduct(2, 1.7e308 + 1.7e308j)
 
 
 class TestCoherentOverlap:
@@ -173,6 +176,61 @@ class TestCoherentOverlap:
             coherent_overlap(3, 0.5, 0.5, float("nan"))
         with pytest.raises(DomainError):
             coherent_overlap(3, 0.5, 0.5, float("inf"))
+
+
+# fs_distance reads equal rays of 2^10 complex amplitudes as up to about
+# 1.3e-14 apart: its overlap is a BLAS dot product
+_RAY_TOL = 1e-13
+
+
+class TestChartRule:
+    """Path points and coherent products past 1 are built in the chart (1, 1/x).
+
+    Up to 1 the ray is the literal vector's, bit for bit; past 1 it is the
+    literal vector's ray wherever that vector is representable.
+    """
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(n=st.integers(1, 10), u=st.floats(0.0, 1e300))
+    @example(n=3, u=1e200)  # u^2 overflowed, and so did |z|^2 of the ray
+    def test_path_point(self, n, u):
+        point = GroverPathPoint(n, u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = point.ray().coords
+            p = point.success_probability
+        assert np.isfinite(got).all()
+        assert abs(_norm(got) - 1.0) <= 1e-15
+        literal = np.full(1 << n, u, dtype=complex)
+        literal[-1] = 1.0
+        if u <= 1.0:
+            assert np.array_equal(got, _unit(literal))
+        else:
+            with np.errstate(over="ignore"):  # the literal vector's |z|^2
+                assert fs_distance(literal, got) <= _RAY_TOL
+        assert 0.0 <= p <= 1.0
+        assert abs(p - math.sin(point.angle) ** 2) <= 1e-15
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        n=st.integers(1, 10),
+        v=st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False),
+    )
+    @example(n=24, v=2e14)  # (2e14)^24 overflowed: the r_m of entanglement_approx near u = 1/23
+    @example(n=4, v=1e75)  # |z|^2 overflowed
+    def test_coherent_product(self, n, v):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = CoherentProduct(n, v).ray().coords
+        assert np.isfinite(got).all()
+        assert abs(_norm(got) - 1.0) <= 1e-15
+        if n * math.log10(max(abs(v), 1.0)) < 300:  # the literal vector v^zeros(x) is representable
+            literal = np.complex128(v) ** ent._zeros_per_index(n)
+            if abs(v) <= 1.0:
+                assert np.array_equal(got, _unit(literal))
+            else:
+                with np.errstate(over="ignore"):  # the literal vector's |z|^2
+                    assert fs_distance(literal, got) <= _RAY_TOL
 
 
 class TestStationaryStructure:
@@ -245,6 +303,14 @@ _PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 
 
 class TestExactRouteProperties:
+    def test_path_endpoints_have_only_their_endpoint_root(self):
+        # the exact route ranks only the stationary roots: for 0 < u < 1 the
+        # overlap rises at r = 0 and falls at r = 1, and at u = 0 and 1 the
+        # endpoint is the one root
+        for n in range(1, 25):
+            assert extremum_roots(n, 0.0) == [0.0]
+            assert extremum_roots(n, 1.0) == [1.0]
+
     @_PROPERTY_SETTINGS
     @given(n=st.integers(2, 24), u=st.floats(0.0, 1.0))
     def test_roots_sorted_distinct_and_inverting(self, n, u):
@@ -349,10 +415,7 @@ class TestClassDistance:
             results.append(entanglement_approx(n, u))
         psi = grover_path_ray(n, u)
         for res in results:
-            # an approximate radius near 1e15 overflows |z|^2 in _unit, which
-            # warns before it rescales the product
-            with np.errstate(over="ignore"):
-                want = fs_distance(psi, CoherentProduct(n, res.r_star).ray())
+            want = fs_distance(psi, CoherentProduct(n, res.r_star).ray())
             assert abs(res.value - want) <= 1e-15, res.method
 
     def test_path_endpoints_read_exactly_zero(self):
@@ -688,7 +751,7 @@ class TestOracle:
             for u in rng.random(3):
                 o = entanglement_grid_oracle(grover_path_ray(n, u), n)
                 e = entanglement_exact(n, u).value
-                assert o.value == pytest.approx(e, abs=2e-3)
+                assert abs(o.value - e) <= 1e-15
 
     def test_refinement_accuracy(self):
         o = entanglement_grid_oracle(grover_path_ray(3, 0.2), 3)

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import grovergeo
@@ -31,5 +32,19 @@ def test_no_arccos_of_an_overlap():
     for path in sorted(Path(grovergeo.__file__).parent.glob("*.py")):
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
             if "acos(" in line or "arccos(" in line:
+                found.append(f"{path.name}:{number}: {line.strip()}")
+    assert found == []
+
+
+def test_one_chart_flip():
+    # entanglement._chart is the one place that takes a level, radius or
+    # coordinate x past 1 to the homogeneous pair (1, 1/x); every path point
+    # and coherent product goes through it
+    allowed = "(1.0, 1.0 / x)"
+    reciprocal = re.compile(r"\b1(\.0)? / (abs\()?[A-Za-z_]\w*(?![\w.(])")
+    found = []
+    for path in sorted(Path(grovergeo.__file__).parent.glob("*.py")):
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if reciprocal.search(line) and allowed not in line:
                 found.append(f"{path.name}:{number}: {line.strip()}")
     assert found == []

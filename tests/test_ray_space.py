@@ -75,10 +75,11 @@ class TestRayValidation:
         with pytest.raises(InvalidRay):
             canonical_form(np.array([2.0]))
         amps = np.complex128(1e75) ** np.array([4, 3, 3, 2, 3, 2, 2, 1, 3, 2, 2, 1, 2, 1, 1, 0])
-        want = canonical_form(amps * 2.0**-1000).coords
         with np.errstate(over="ignore"):  # the first |z|^2
-            got = CoherentProduct(4, 1e75).ray().coords
-        assert np.array_equal(got, want)
+            want = canonical_form(amps).coords
+        assert np.array_equal(want, canonical_form(amps * 2.0**-1000).coords)
+        # the product itself is built in the chart (1, 1e-75), where no |z|^2 overflows
+        assert np.array_equal(CoherentProduct(4, 1e75).ray().coords, want)
 
     def test_underflowing_coordinates_normalise(self):
         # |z|^2 underflows to 0 although the coordinates do not
