@@ -29,7 +29,7 @@ from .grover_engine import (
     search_metrics,
     success_probability,
 )
-from .ray_space import Ray, fs_distance
+from .ray_space import Ray, _unit, fs_distance
 from .segre import grover_separability_residual, max_quadric_residual
 
 _ORACLE_MAX_QUBITS = 14
@@ -186,17 +186,16 @@ def entangle_sweep(n, points, method, seed):
 @click.option("--points", type=click.IntRange(min=2), default=401, show_default=True, help="Grid size.")
 def measure_compare(points):
     """Compare two-qubit entanglement, concurrence, and residual entropy."""
-    rows = []
-    for t in _angle_grid(2, points):
-        point = ent.GroverPathPoint.from_angle(2, t)
-        psi = point.ray()
-        e_geo = ent.entanglement_exact_2q(point.u).value
-        c = ent.concurrence(psi)
-        s = ent.partial_entropy(ent.reduced_density_2q(psi))
-        rows.append((t, point.u, e_geo, c, s))
+    ts = _angle_grid(2, points)
+    us = [ent._angle_level(1 << 2, t) for t in ts.tolist()]
+    # the path rays (level, level, level, marked), one per row
+    psi = _unit(np.array([ent._chart(u) for u in us], dtype=np.complex128)[:, [0, 0, 0, 1]])
+    e_geo = [ent.entanglement_exact_2q(u).value for u in us]
+    c = ent.concurrence(psi)
+    s = ent.partial_entropy(ent.reduced_density_2q(psi))
     columns = [("t", "radians"), ("u", "dimensionless"), ("E_geometric", "radians"),
                ("concurrence", "dimensionless"), ("partial_entropy", "bits")]
-    return {"points": points}, columns, list(zip(*rows))
+    return {"points": points}, columns, [ts, us, e_geo, c, s]
 
 
 @_command("search-time")

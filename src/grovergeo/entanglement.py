@@ -35,7 +35,16 @@ from .errors import (
     InvalidRay,
 )
 from .grover_engine import _check_qubits, _path_angle, _path_level, _rotation_angle
-from .ray_space import Ray, UnitVector, _ascoords, _unit, _unit_vector, fs_distance
+from .ray_space import (
+    Ray,
+    UnitVector,
+    _ascoords,
+    _unit,
+    _unit_coords,
+    _unit_distance,
+    _unit_vector,
+    fs_distance,
+)
 from .segre import max_quadric_residual
 
 __all__ = [
@@ -89,6 +98,31 @@ def _chart(x):
     return (x, 1.0) if abs(x) <= 1.0 else (1.0, 1.0 / x)
 
 
+def _class_amplitudes(a, b, n: int) -> np.ndarray:
+    """a^k b^(n - k) for k = 0..n: the amplitude on each index with k zero bits of the product (a, b)^n.
+
+    ``a`` and ``b`` broadcast against the last axis; ``[..., _zeros_per_index(n)]``
+    spreads the n + 1 classes over the 2^n indices.
+    """
+    k = np.arange(n + 1)
+    return a**k * b ** (n - k)
+
+
+def _angle_level(size: int, t: float) -> float:
+    """Unmarked level at path angle ``t`` on ``size`` basis states; sin(t)**2 is the success probability.
+
+    ``t`` runs from half the elementary rotation angle (uniform state, u = 1)
+    to pi/2 (marked state, u = 0); rounding spill of up to 1e-12 past either
+    end is clipped.
+    """
+    t_min = _rotation_angle(size) / 2.0
+    if not t_min - 1e-12 <= t <= math.pi / 2.0 + 1e-12:
+        raise DomainError(f"path angle {t!r} outside [{t_min!r}, {math.pi / 2.0!r}]")
+    t = min(max(t, t_min), math.pi / 2.0)
+    # the angle range maps exactly onto u in [1, 0]; clip rounding spill
+    return min(1.0, max(0.0, _path_level(size, t)))
+
+
 @dataclass(frozen=True)
 class GroverPathPoint:
     """One state of the search path: unmarked level ``u`` on ``n`` qubits.
@@ -115,13 +149,7 @@ class GroverPathPoint:
         to pi/2 (marked state).
         """
         _check_qubits(n)
-        size = 1 << n
-        t_min = _rotation_angle(size) / 2.0
-        if not t_min - 1e-12 <= t <= math.pi / 2.0 + 1e-12:
-            raise DomainError(f"path angle {t!r} outside [{t_min!r}, {math.pi / 2.0!r}]")
-        t = min(max(t, t_min), math.pi / 2.0)
-        # the angle range maps exactly onto u in [1, 0]; clip rounding spill
-        return cls(n, min(1.0, max(0.0, _path_level(size, t))))
+        return cls(n, _angle_level(1 << n, t))
 
     @property
     def size(self) -> int:
@@ -167,9 +195,7 @@ class CoherentProduct:
         return math.atan2(self.v.imag, self.v.real)
 
     def ray(self) -> UnitVector:
-        a, b = _chart(self.v)
-        zeros = _zeros_per_index(self.n)
-        return _unit_vector(a**zeros * b ** (self.n - zeros))
+        return _unit_vector(_class_amplitudes(*_chart(self.v), self.n)[_zeros_per_index(self.n)])
 
 
 @dataclass(frozen=True)
@@ -526,7 +552,7 @@ def _closest_product(state, n: int, seed: int):
     if psi.size != 1 << n:
         raise DimensionError(f"state has size {psi.size}, expected {1 << n}")
     try:
-        psi = _unit(psi)
+        psi = _unit_coords(state)
     except InvalidRay as exc:
         raise DomainError("state must be a nonzero finite vector") from exc
 
@@ -541,15 +567,14 @@ def _closest_product(state, n: int, seed: int):
         s2, p2 = _chart_candidates(sums[::-1].conj())
         a, b = np.r_[v1, np.ones(s2.size)], np.r_[np.ones(v1.size), s2]
         # ranked in Dicke coordinates, where fs_distance is that of the 2^n vectors
-        k = np.arange(n + 1)
         root = np.sqrt(sizes)
-        dicke = root * means
-        candidates = root * a[:, None] ** k * b[:, None] ** (n - k)
-        best = int(np.argmin([fs_distance(dicke, c) for c in candidates]))
+        dicke = _unit(root * means)
+        classes = _class_amplitudes(a[:, None], b[:, None], n)
+        best = int(np.argmin([_unit_distance(dicke.copy(), c) for c in _unit(root * classes)]))
         a, b = a[best], b[best]
         r_star = math.inf if b == 0 else abs(a) / abs(b)
         p = min(1.0, float(np.r_[p1, p2][best]))
-        return p, float(r_star), _phase(a * b.conjugate()), True, _unit(a**zeros * b ** (n - zeros))
+        return p, float(r_star), _phase(a * b.conjugate()), True, _unit(classes[best][zeros])
 
     starts = np.empty((_ASCENT_STARTS + 2, n, 2), dtype=np.complex128)
     starts[0] = 1.0 / math.sqrt(2.0)
@@ -588,17 +613,21 @@ def entanglement_grid_oracle(state, n: int, seed: int = 0) -> EntanglementResult
 
 
 def _unit_2q(state) -> np.ndarray:
-    """A two-qubit pure state as a unit 4-vector."""
-    psi = _ascoords(state)
-    if psi.size != 4:
-        raise DimensionError(f"expected a 4-component state, got size {psi.size}")
+    """Two-qubit pure states, one per row of the last axis, as unit 4-vectors."""
+    psi = state.coords if isinstance(state, Ray) else np.asarray(state, dtype=complex)
+    if psi.ndim == 0 or psi.shape[-1] != 4:
+        raise DimensionError(f"expected 4-component states, got shape {psi.shape}")
     return _unit(psi)
 
 
 def reduced_density_2q(state) -> np.ndarray:
-    """Reduced density matrix of the first qubit of a two-qubit pure state."""
-    m = _unit_2q(state).reshape(2, 2)
-    return m @ m.conj().T
+    """Reduced density matrix of the first qubit of a two-qubit pure state.
+
+    A (..., 4) stack of states gives a (..., 2, 2) stack of matrices.
+    """
+    psi = _unit_2q(state)
+    m = psi.reshape(*psi.shape[:-1], 2, 2)
+    return m @ m.conj().swapaxes(-1, -2)
 
 
 _SPIN_FLIP = np.array(
@@ -612,10 +641,20 @@ _SPIN_FLIP = np.array(
 )
 
 
-def concurrence(state) -> float:
-    """Concurrence |<psi*| sigma_y x sigma_y |psi>| of a two-qubit pure state."""
+def concurrence(state):
+    """Concurrence |<psi*| sigma_y x sigma_y |psi>| of a two-qubit pure state.
+
+    A float for one state, an array for a (..., 4) stack, each row what
+    the state reads alone: the flip is exact, each row's contraction is a
+    (1, 4) @ (4, 1) product, one BLAS dot, and its modulus is ``np.hypot``,
+    which is the scalar ``abs`` (``np.abs`` of a complex array moves last
+    bits).
+    """
     psi = _unit_2q(state)
-    return float(abs(psi @ _SPIN_FLIP @ psi))
+    flipped = psi @ _SPIN_FLIP
+    dot = (flipped[..., None, :] @ psi[..., :, None])[..., 0, 0]
+    c = np.hypot(dot.real, dot.imag)
+    return float(c) if c.ndim == 0 else c
 
 
 def concurrence_from_quadric(r) -> float:
@@ -645,11 +684,15 @@ def pair_entropy_from_concurrence(c: float) -> float:
     return partial_entropy(np.diag(lam))
 
 
-def partial_entropy(rho) -> float:
-    """Von Neumann entropy, base 2, of a density matrix; 0 log 0 is 0."""
+def partial_entropy(rho):
+    """Von Neumann entropy, base 2, of a density matrix; 0 log 0 is 0.
+
+    A float for one matrix, an array for a (..., d, d) stack.
+    """
     rho = np.asarray(rho, dtype=np.complex128)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise DimensionError(f"density matrix must be square, got shape {rho.shape}")
     lam = np.linalg.eigvalsh(rho)
-    lam = lam[lam > 1e-300]
-    return float(-(lam * np.log2(lam)).sum())
+    lam = np.where(lam > 1e-300, lam, 1.0)  # a dropped eigenvalue adds 1 log2(1) = 0
+    entropy = -(lam * np.log2(lam)).sum(axis=-1)
+    return float(entropy) if entropy.ndim == 0 else entropy

@@ -9,6 +9,7 @@ geodesics between orthonormal endpoints.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -36,6 +37,10 @@ __all__ = [
 ]
 
 _UNIT_NORM_TOL = 1e-12
+# from this largest part up, the subnormal rounding of 2^30 coordinates' |z|^2
+# stays 2^-84 below the last bit of their sum
+_SMALL_PART = 2.0**-480
+_QUARTER_MAX = sys.float_info.max / 4.0
 
 
 def _ascoords(x) -> np.ndarray:
@@ -48,27 +53,46 @@ def _ascoords(x) -> np.ndarray:
     return arr
 
 
-def _norm(z: np.ndarray) -> float:
-    """Euclidean norm, as a pairwise sum of |z|^2 whose rounding grows like log N.
+def _norm(z: np.ndarray):
+    """Euclidean norm along the last axis, as a pairwise sum of |z|^2 whose rounding grows like log N.
 
-    The BLAS dot of ``np.linalg.norm`` errs like N, past the unit-norm check at 2^17.
+    A float for one vector, an array for a stack.  The BLAS dot of
+    ``np.linalg.norm`` errs like N, past the unit-norm check at 2^17.
     """
-    return math.sqrt(np.add.reduce((z * z.conj()).real))
+    squares = np.add.reduce((z * z.conj()).real, -1)
+    return math.sqrt(squares) if z.ndim == 1 else np.sqrt(squares)
 
 
-def _unit(arr: np.ndarray) -> np.ndarray:
-    if not np.isfinite(arr).all():  # before the norm, whose |inf|^2 warns
-        raise InvalidRay("coordinates must be finite")
-    norm = _norm(arr)
-    if norm == math.inf or (norm == 0.0 and arr.any()):
-        # |z|^2 over- or underflowed: scale the largest part into [0.5, 1),
-        # exactly, by a power of two
-        _, exponent = math.frexp(max(np.abs(arr.real).max(), np.abs(arr.imag).max()))
-        arr = np.ldexp(arr.real, -exponent) + 1j * np.ldexp(arr.imag, -exponent)
-        norm = _norm(arr)
-    if norm == 0.0:
+def _unit(arr) -> np.ndarray:
+    """Unit vectors along the last axis of complex coordinates, as a fresh array.
+
+    One max and one min of the real and imaginary parts tell whether every
+    part is finite and whether a row's sum of |z|^2 could overflow or lose
+    bits below the normal range; only then are the rows scanned one by one.
+    A non-finite or all-zero row is rejected before any |z|^2 is taken, and
+    a row out of range is first scaled, exactly, by the power of two that
+    takes its largest part into [0.5, 1).  Every row is what it would be
+    alone.
+    """
+    arr = np.ascontiguousarray(arr, dtype=np.complex128)
+    if arr.size == 0:
         raise InvalidRay("all-zero coordinates do not define a ray")
-    return arr / norm
+    parts = arr.view(np.float64)
+    hi, lo = np.maximum.reduce(parts, None), np.minimum.reduce(parts, None)
+    # a row's sum of |z|^2 is at most 2N max^2; the factor 2 more is for rounding
+    limit = math.sqrt(_QUARTER_MAX / arr.shape[-1])
+    # false for NaN, and a stack takes the row by row scan
+    if arr.ndim > 1 or not (-limit <= lo <= hi <= limit and (hi >= _SMALL_PART or lo <= -_SMALL_PART)):
+        largest = np.abs(parts).max(axis=-1)
+        if not np.isfinite(largest).all():
+            raise InvalidRay("coordinates must be finite")
+        if not largest.all():
+            raise InvalidRay("all-zero coordinates do not define a ray")
+        _, exponent = np.frexp(largest)
+        exponent = np.where((largest < _SMALL_PART) | (largest > limit), -exponent, 0)
+        arr = np.ldexp(parts, exponent[..., None]).view(np.complex128)
+    norm = _norm(arr)
+    return arr / (norm if arr.ndim == 1 else norm[..., None])
 
 
 class Ray:
@@ -126,6 +150,13 @@ class UnitVector(Ray):
         norm = _norm(self._coords)
         if abs(norm - 1.0) > _UNIT_NORM_TOL:
             raise InvalidRay(f"norm {norm!r} is not 1 within {_UNIT_NORM_TOL}")
+
+
+def _unit_coords(x) -> np.ndarray:
+    """``_unit(_ascoords(x))``; a UnitVector, finite and of norm 1 by construction, skips the scan."""
+    if isinstance(x, UnitVector):
+        return x.coords / _norm(x.coords)
+    return _unit(_ascoords(x))
 
 
 def _unit_vector(arr: np.ndarray) -> UnitVector:
@@ -191,7 +222,7 @@ def canonical_form(r: Ray | np.ndarray) -> UnitVector:
     -------
     UnitVector
     """
-    v = _unit(_ascoords(r))
+    v = _unit_coords(r)
     mags = np.abs(v)
     j = int(np.argmax(mags))  # argmax takes the first maximum: lowest index
     v = v * np.conj(v[j] / mags[j])
@@ -214,10 +245,10 @@ def inhomogeneous(r: Ray | np.ndarray, pivot: int) -> InhomogeneousChart:
 
 def transition_probability(a: Ray | np.ndarray, b: Ray | np.ndarray) -> float:
     """Transition probability |<a|b>|^2 between two rays (gauge invariant)."""
-    va, vb = _ascoords(a), _ascoords(b)
+    va, vb = _unit_coords(a), _unit_coords(b)
     if va.size != vb.size:
         raise DimensionError(f"dimension mismatch: {va.size} vs {vb.size}")
-    overlap = abs(np.vdot(_unit(va), _unit(vb)))
+    overlap = abs(np.vdot(va, vb))
     return float(min(1.0, overlap) ** 2)
 
 
@@ -229,13 +260,19 @@ def fs_distance(a: Ray | np.ndarray, b: Ray | np.ndarray) -> float:
     resolves distances far below the arccos's 3e-8: it is exactly symmetric,
     0 from a ray to itself and pi between rays of disjoint support.
     """
-    va, vb = _unit(_ascoords(a)), _unit(_ascoords(b))
+    va, vb = _unit_coords(a), _unit_coords(b)
     if va.size != vb.size:
         raise DimensionError(f"dimension mismatch: {va.size} vs {vb.size}")
+    return _unit_distance(va, vb)
+
+
+def _unit_distance(va: np.ndarray, vb: np.ndarray) -> float:
+    """:func:`fs_distance` between the unit vectors ``va`` and ``vb``, which it overwrites.
+
+    In place, because a 2^20-long temporary costs as much as the arithmetic on it.
+    """
     overlap = np.vdot(va, vb)
     half = np.sqrt(overlap / abs(overlap)) if overlap != 0 else 1.0
-    # in place: _unit returned fresh arrays, and a 2^20-long temporary costs
-    # as much as the arithmetic on it
     va *= half  # x
     vb *= np.conj(half)  # y
     diff = va - vb

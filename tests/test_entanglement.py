@@ -44,7 +44,8 @@ from grovergeo.errors import (
     DomainError,
     InvalidRay,
 )
-from grovergeo.ray_space import _norm, _unit
+from grovergeo import ray_space
+from grovergeo.ray_space import _norm, _unit, _unit_distance
 
 # a seeded 18-qubit product state: every start of the ascent converges in 2 sweeps
 _ASCENT_MEMORY = """
@@ -697,9 +698,11 @@ class TestOracle:
 
         def recorded(a, b):
             sizes.append((len(a), len(b)))
-            return fs_distance(a, b)
+            return _unit_distance(a, b)
 
-        monkeypatch.setattr(ent, "fs_distance", recorded)
+        # every distance goes through _unit_distance: the ranking's directly, E's from fs_distance
+        monkeypatch.setattr(ent, "_unit_distance", recorded)
+        monkeypatch.setattr(ray_space, "_unit_distance", recorded)
         n = 8
         psi = grover_path_ray(n, 0.3)
         assert closest_product_overlap(psi, n)[3]
@@ -976,3 +979,68 @@ class TestPairwiseMeasures:
 
     def test_underflowing_state_normalises(self):
         assert concurrence([1e-200, 0.0, 0.0, 1e-200]) == pytest.approx(1.0, abs=1e-15)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# 8 parts in [-1, 1], scaled by 2^e: past e = 511 the |z|^2 overflow, below e = -537 they underflow
+_PAIR_STATE = st.tuples(
+    st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+    st.one_of(st.integers(-8, 8), st.integers(-1070, 1020)),
+).map(lambda draw: np.ldexp(draw[0][0::2], draw[1]) + 1j * np.ldexp(draw[0][1::2], draw[1]))
+
+
+class TestStackedPairMeasures:
+    """A (..., 4) stack of states reads, row by row, what each state reads alone, bit for bit."""
+
+    @staticmethod
+    def _check_rows(stack):
+        c = concurrence(stack)
+        rho = reduced_density_2q(stack)
+        s = partial_entropy(rho)
+        assert c.shape == s.shape == stack.shape[:-1] and rho.shape == (*stack.shape[:-1], 2, 2)
+        for i, psi in enumerate(stack):
+            # one state reads its literal contraction psi^T (sigma_y x sigma_y) psi
+            unit = _unit(psi)
+            assert _same_bits(concurrence(psi), abs(unit @ ent._SPIN_FLIP @ unit))
+            assert _same_bits(c[i], concurrence(psi))
+            assert _same_bits(rho[i], reduced_density_2q(psi))
+            assert _same_bits(s[i], partial_entropy(reduced_density_2q(psi)))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.lists(_PAIR_STATE.filter(np.any), min_size=1, max_size=64))
+    def test_random_states(self, states):
+        stack = np.array(states)
+        self._check_rows(stack)
+        # the first state, alone in a stack of 1 and among 63 others
+        self._check_rows(stack[:1])
+        self._check_rows(np.resize(stack, (64, 4)))
+
+    def test_path_rays_of_the_angle_grid(self):
+        ts = np.linspace(GroverPathPoint(2, 1.0).angle, np.pi / 2, 401)
+        stack = np.array([GroverPathPoint.from_angle(2, t).ray().coords for t in ts])
+        self._check_rows(stack)
+        self._check_rows(stack[:1])
+        self._check_rows(stack[-64:])
+
+    def test_leading_axes(self):
+        stack = np.resize(grover_path_ray(2, 0.4).coords, (2, 3, 4))
+        assert concurrence(stack).shape == partial_entropy(reduced_density_2q(stack)).shape == (2, 3)
+        assert isinstance(concurrence(stack[0, 0]), float)
+        assert isinstance(partial_entropy(reduced_density_2q(stack[0, 0])), float)
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0, 0.0, 1.0], [0.0, np.inf, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
+    @pytest.mark.parametrize("measure", [concurrence, reduced_density_2q])
+    def test_each_row_is_checked(self, measure, bad):
+        stack = np.array([[1.0, 0.0, 0.0, 1.0], bad, [0.0, 1.0, 1.0, 0.0]], dtype=complex)
+        with pytest.raises(InvalidRay):
+            measure(stack)
+
+    def test_a_stack_needs_four_components(self):
+        with pytest.raises(DimensionError):
+            concurrence(np.ones((3, 2)))
+        with pytest.raises(DimensionError):
+            partial_entropy(np.ones((3, 2, 3)))

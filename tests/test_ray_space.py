@@ -2,11 +2,12 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import grovergeo
@@ -89,6 +90,12 @@ class TestRayValidation:
         assert abs(np.linalg.norm(got) - 1.0) < 1e-15
         with pytest.raises(InvalidRay):
             canonical_form([0.0, 0.0, 0.0])
+
+    def test_subnormal_squares_normalise(self):
+        # |z|^2 falls below the normal range and loses bits without reaching 0:
+        # the same ray once read 1.2e-2 and 1.1e-5 from itself
+        assert fs_distance([3e-162, 1e-162j], [3.0, 1j]) <= 1e-15
+        assert fs_distance([1e-160, 1e-160], [1.0, 1.0]) <= 1e-15
 
 
 class TestCanonicalForm:
@@ -241,6 +248,33 @@ class TestDistanceProperties:
         w = np.concatenate([np.zeros(head.size), tail / np.linalg.norm(tail)])
         tilted = np.cos(eps) * a + np.sin(eps) * w
         assert fs_distance(a, tilted) == pytest.approx(2.0 * eps, rel=1e-6)
+
+
+_ANY_COORDINATE = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+class TestExtremeMagnitudes:
+    @_PROPERTY_SETTINGS
+    @given(
+        st.integers(2, 16).flatmap(
+            lambda d: st.tuples(
+                st.lists(_ANY_COORDINATE, min_size=d, max_size=d).map(lambda z: np.array(z, dtype=complex)),
+                _vectors(d),
+            )
+        )
+    )
+    @example(pair=(np.array([1e200, 1.0]), np.array([1.0, 0.0])))  # |z|^2 overflowed in the first norm
+    def test_any_finite_coordinates_read_their_scaled_distance(self, pair):
+        # a ray reads, without a warning, the distance of its coordinates scaled
+        # by the power of two that takes the largest part into [0.5, 1)
+        a, b = pair
+        assume(a.any())
+        _, exponent = math.frexp(np.abs(a.view(np.float64)).max())
+        scaled = np.ldexp(a.real, -exponent) + 1j * np.ldexp(a.imag, -exponent)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = fs_distance(a, b)
+        assert abs(d - fs_distance(scaled, b)) <= 1e-15
 
 
 _NORMALISING_CALLS = {
