@@ -188,8 +188,7 @@ def measure_compare(points):
     """Compare two-qubit entanglement, concurrence, and residual entropy."""
     ts = _angle_grid(2, points)
     us = [ent._angle_level(1 << 2, t) for t in ts.tolist()]
-    # the path rays (level, level, level, marked), one per row
-    psi = _unit(np.array([ent._chart(u) for u in us], dtype=np.complex128)[:, [0, 0, 0, 1]])
+    psi = _unit(ent._path_coords(2, us))
     e_geo = [ent.entanglement_exact_2q(u).value for u in us]
     c = ent.concurrence(psi)
     s = ent.partial_entropy(ent.reduced_density_2q(psi))

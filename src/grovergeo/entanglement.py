@@ -35,16 +35,7 @@ from .errors import (
     InvalidRay,
 )
 from .grover_engine import _check_qubits, _path_angle, _path_level, _rotation_angle
-from .ray_space import (
-    Ray,
-    UnitVector,
-    _ascoords,
-    _unit,
-    _unit_coords,
-    _unit_distance,
-    _unit_vector,
-    fs_distance,
-)
+from .ray_space import Ray, UnitVector, _ascoords, _unit, _unit_vector, fs_distance
 from .segre import max_quadric_residual
 
 __all__ = [
@@ -166,10 +157,21 @@ class GroverPathPoint:
         return marked**2 / ((self.size - 1) * level**2 + marked**2)
 
     def ray(self) -> UnitVector:
-        level, marked = _chart(self.u)
-        z = np.full(self.size, level, dtype=np.complex128)
-        z[self.size - 1] = marked
-        return _unit_vector(z)
+        return _unit_vector(_path_coords(self.n, [self.u])[0])
+
+
+def _path_coords(n: int, us) -> np.ndarray:
+    """Homogeneous coordinates of the path rays at the levels ``us``, one per row.
+
+    Each row holds ``_chart(u)``'s level on the unmarked indices and its
+    marked amplitude on the last, the marked one.  The caller normalises:
+    one ray through ``_unit_vector``, a stack of rays through ``_unit``.
+    """
+    pairs = np.array([_chart(u) for u in us], dtype=np.complex128).reshape(-1, 2)
+    z = np.empty((len(pairs), 1 << n), dtype=np.complex128)
+    z[:] = pairs[:, :1]
+    z[:, -1] = pairs[:, 1]
+    return z
 
 
 @dataclass(frozen=True)
@@ -552,7 +554,7 @@ def _closest_product(state, n: int, seed: int):
     if psi.size != 1 << n:
         raise DimensionError(f"state has size {psi.size}, expected {1 << n}")
     try:
-        psi = _unit_coords(state)
+        psi = _unit(psi)
     except InvalidRay as exc:
         raise DomainError("state must be a nonzero finite vector") from exc
 
@@ -568,9 +570,9 @@ def _closest_product(state, n: int, seed: int):
         a, b = np.r_[v1, np.ones(s2.size)], np.r_[np.ones(v1.size), s2]
         # ranked in Dicke coordinates, where fs_distance is that of the 2^n vectors
         root = np.sqrt(sizes)
-        dicke = _unit(root * means)
+        dicke = root * means
         classes = _class_amplitudes(a[:, None], b[:, None], n)
-        best = int(np.argmin([_unit_distance(dicke.copy(), c) for c in _unit(root * classes)]))
+        best = int(np.argmin([fs_distance(dicke, c) for c in root * classes]))
         a, b = a[best], b[best]
         r_star = math.inf if b == 0 else abs(a) / abs(b)
         p = min(1.0, float(np.r_[p1, p2][best]))
@@ -614,8 +616,8 @@ def entanglement_grid_oracle(state, n: int, seed: int = 0) -> EntanglementResult
 
 def _unit_2q(state) -> np.ndarray:
     """Two-qubit pure states, one per row of the last axis, as unit 4-vectors."""
-    psi = state.coords if isinstance(state, Ray) else np.asarray(state, dtype=complex)
-    if psi.ndim == 0 or psi.shape[-1] != 4:
+    psi = _ascoords(state, stack=True)
+    if psi.shape[-1] != 4:
         raise DimensionError(f"expected 4-component states, got shape {psi.shape}")
     return _unit(psi)
 

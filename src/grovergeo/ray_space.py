@@ -9,7 +9,6 @@ geodesics between orthonormal endpoints.
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -37,18 +36,26 @@ __all__ = [
 ]
 
 _UNIT_NORM_TOL = 1e-12
-# from this largest part up, the subnormal rounding of 2^30 coordinates' |z|^2
-# stays 2^-84 below the last bit of their sum
+# _unit's range for the largest real or imaginary part of a vector.  From
+# 2^-480 up, the sum of |z|^2 is at least 2^-960, whose last bit is 2^-1012;
+# for up to 2^30 coordinates, rounding their 2^31 subnormal squares errs by
+# at most 2^-1044, 2^-32 below that bit (2^-84 of the sum).  Up to 2^480,
+# the sum of fewer than 2^60 coordinates' |z|^2 stays below 2^1021, an
+# eighth of the overflow threshold 2^1024.
 _SMALL_PART = 2.0**-480
-_QUARTER_MAX = sys.float_info.max / 4.0
+_LARGE_PART = 2.0**480
 
 
-def _ascoords(x) -> np.ndarray:
-    """Coerce a Ray, UnitVector or array-like to a 1-D complex ndarray."""
+def _ascoords(x, stack: bool = False) -> np.ndarray:
+    """Coerce a Ray, UnitVector or array-like to a 1-D complex ndarray.
+
+    With ``stack``, an array of more dimensions is kept as a stack of
+    coordinate vectors along its last axis.
+    """
     if isinstance(x, Ray):
         return x.coords
     arr = np.asarray(x, dtype=complex)
-    if arr.ndim != 1:
+    if arr.ndim != 1 and not (stack and arr.ndim > 1):
         raise InvalidRay(f"expected a 1-D coordinate vector, got shape {arr.shape}")
     return arr
 
@@ -66,31 +73,32 @@ def _norm(z: np.ndarray):
 def _unit(arr) -> np.ndarray:
     """Unit vectors along the last axis of complex coordinates, as a fresh array.
 
-    One max and one min of the real and imaginary parts tell whether every
-    part is finite and whether a row's sum of |z|^2 could overflow or lose
-    bits below the normal range; only then are the rows scanned one by one.
-    A non-finite or all-zero row is rejected before any |z|^2 is taken, and
-    a row out of range is first scaled, exactly, by the power of two that
-    takes its largest part into [0.5, 1).  Every row is what it would be
-    alone.
+    For one vector, one max and one min of its real and imaginary parts
+    tell whether every part is finite and its largest part in
+    [_SMALL_PART, _LARGE_PART], where the sum of |z|^2 neither overflows nor
+    loses bits below the normal range.  Any other input, and a stack, is
+    scanned row by row: a non-finite or all-zero row is rejected before any
+    |z|^2 is taken, and a row out of range is first scaled, exactly, by the
+    power of two that takes its largest part into [0.5, 1).  Every row is
+    what it would be alone.
     """
     arr = np.ascontiguousarray(arr, dtype=np.complex128)
+    parts = arr.view(np.float64)
+    if arr.ndim == 1 and arr.size:
+        hi, lo = np.maximum.reduce(parts), np.minimum.reduce(parts)
+        # false for NaN
+        if -_LARGE_PART <= lo <= hi <= _LARGE_PART and (hi >= _SMALL_PART or lo <= -_SMALL_PART):
+            return arr / _norm(arr)
     if arr.size == 0:
         raise InvalidRay("all-zero coordinates do not define a ray")
-    parts = arr.view(np.float64)
-    hi, lo = np.maximum.reduce(parts, None), np.minimum.reduce(parts, None)
-    # a row's sum of |z|^2 is at most 2N max^2; the factor 2 more is for rounding
-    limit = math.sqrt(_QUARTER_MAX / arr.shape[-1])
-    # false for NaN, and a stack takes the row by row scan
-    if arr.ndim > 1 or not (-limit <= lo <= hi <= limit and (hi >= _SMALL_PART or lo <= -_SMALL_PART)):
-        largest = np.abs(parts).max(axis=-1)
-        if not np.isfinite(largest).all():
-            raise InvalidRay("coordinates must be finite")
-        if not largest.all():
-            raise InvalidRay("all-zero coordinates do not define a ray")
-        _, exponent = np.frexp(largest)
-        exponent = np.where((largest < _SMALL_PART) | (largest > limit), -exponent, 0)
-        arr = np.ldexp(parts, exponent[..., None]).view(np.complex128)
+    largest = np.abs(parts).max(axis=-1)
+    if not np.isfinite(largest).all():
+        raise InvalidRay("coordinates must be finite")
+    if not largest.all():
+        raise InvalidRay("all-zero coordinates do not define a ray")
+    _, exponent = np.frexp(largest)
+    exponent = np.where((largest < _SMALL_PART) | (largest > _LARGE_PART), -exponent, 0)
+    arr = np.ldexp(parts, exponent[..., None]).view(np.complex128)
     norm = _norm(arr)
     return arr / (norm if arr.ndim == 1 else norm[..., None])
 
@@ -150,13 +158,6 @@ class UnitVector(Ray):
         norm = _norm(self._coords)
         if abs(norm - 1.0) > _UNIT_NORM_TOL:
             raise InvalidRay(f"norm {norm!r} is not 1 within {_UNIT_NORM_TOL}")
-
-
-def _unit_coords(x) -> np.ndarray:
-    """``_unit(_ascoords(x))``; a UnitVector, finite and of norm 1 by construction, skips the scan."""
-    if isinstance(x, UnitVector):
-        return x.coords / _norm(x.coords)
-    return _unit(_ascoords(x))
 
 
 def _unit_vector(arr: np.ndarray) -> UnitVector:
@@ -222,7 +223,7 @@ def canonical_form(r: Ray | np.ndarray) -> UnitVector:
     -------
     UnitVector
     """
-    v = _unit_coords(r)
+    v = _unit(_ascoords(r))
     mags = np.abs(v)
     j = int(np.argmax(mags))  # argmax takes the first maximum: lowest index
     v = v * np.conj(v[j] / mags[j])
@@ -245,10 +246,10 @@ def inhomogeneous(r: Ray | np.ndarray, pivot: int) -> InhomogeneousChart:
 
 def transition_probability(a: Ray | np.ndarray, b: Ray | np.ndarray) -> float:
     """Transition probability |<a|b>|^2 between two rays (gauge invariant)."""
-    va, vb = _unit_coords(a), _unit_coords(b)
+    va, vb = _ascoords(a), _ascoords(b)
     if va.size != vb.size:
         raise DimensionError(f"dimension mismatch: {va.size} vs {vb.size}")
-    overlap = abs(np.vdot(va, vb))
+    overlap = abs(np.vdot(_unit(va), _unit(vb)))
     return float(min(1.0, overlap) ** 2)
 
 
@@ -260,19 +261,13 @@ def fs_distance(a: Ray | np.ndarray, b: Ray | np.ndarray) -> float:
     resolves distances far below the arccos's 3e-8: it is exactly symmetric,
     0 from a ray to itself and pi between rays of disjoint support.
     """
-    va, vb = _unit_coords(a), _unit_coords(b)
+    va, vb = _unit(_ascoords(a)), _unit(_ascoords(b))
     if va.size != vb.size:
         raise DimensionError(f"dimension mismatch: {va.size} vs {vb.size}")
-    return _unit_distance(va, vb)
-
-
-def _unit_distance(va: np.ndarray, vb: np.ndarray) -> float:
-    """:func:`fs_distance` between the unit vectors ``va`` and ``vb``, which it overwrites.
-
-    In place, because a 2^20-long temporary costs as much as the arithmetic on it.
-    """
     overlap = np.vdot(va, vb)
     half = np.sqrt(overlap / abs(overlap)) if overlap != 0 else 1.0
+    # in place: _unit returned fresh arrays, and a 2^20-long temporary costs
+    # as much as the arithmetic on it
     va *= half  # x
     vb *= np.conj(half)  # y
     diff = va - vb

@@ -44,8 +44,7 @@ from grovergeo.errors import (
     DomainError,
     InvalidRay,
 )
-from grovergeo import ray_space
-from grovergeo.ray_space import _norm, _unit, _unit_distance
+from grovergeo.ray_space import _norm, _unit
 
 # a seeded 18-qubit product state: every start of the ascent converges in 2 sweeps
 _ASCENT_MEMORY = """
@@ -698,11 +697,9 @@ class TestOracle:
 
         def recorded(a, b):
             sizes.append((len(a), len(b)))
-            return _unit_distance(a, b)
+            return fs_distance(a, b)
 
-        # every distance goes through _unit_distance: the ranking's directly, E's from fs_distance
-        monkeypatch.setattr(ent, "_unit_distance", recorded)
-        monkeypatch.setattr(ray_space, "_unit_distance", recorded)
+        monkeypatch.setattr(ent, "fs_distance", recorded)
         n = 8
         psi = grover_path_ray(n, 0.3)
         assert closest_product_overlap(psi, n)[3]
@@ -1021,7 +1018,10 @@ class TestStackedPairMeasures:
 
     def test_path_rays_of_the_angle_grid(self):
         ts = np.linspace(GroverPathPoint(2, 1.0).angle, np.pi / 2, 401)
-        stack = np.array([GroverPathPoint.from_angle(2, t).ray().coords for t in ts])
+        points = [GroverPathPoint.from_angle(2, t) for t in ts]
+        stack = np.array([point.ray().coords for point in points])
+        # measure-compare's stacked rays are the rays one point at a time
+        assert _same_bits(_unit(ent._path_coords(2, [point.u for point in points])), stack)
         self._check_rows(stack)
         self._check_rows(stack[:1])
         self._check_rows(stack[-64:])
@@ -1040,6 +1040,8 @@ class TestStackedPairMeasures:
             measure(stack)
 
     def test_a_stack_needs_four_components(self):
+        with pytest.raises(InvalidRay):
+            concurrence(1.0)
         with pytest.raises(DimensionError):
             concurrence(np.ones((3, 2)))
         with pytest.raises(DimensionError):

@@ -264,6 +264,8 @@ class TestExtremeMagnitudes:
         )
     )
     @example(pair=(np.array([1e200, 1.0]), np.array([1.0, 0.0])))  # |z|^2 overflowed in the first norm
+    # parts near 2^511, whose 16 |z|^2 sum past the largest float
+    @example(pair=(np.full(16, 3e153 + 3e153j), np.ones(16, dtype=complex)))
     def test_any_finite_coordinates_read_their_scaled_distance(self, pair):
         # a ray reads, without a warning, the distance of its coordinates scaled
         # by the power of two that takes the largest part into [0.5, 1)
