@@ -156,29 +156,26 @@ def entangle_sweep(n, points, method, seed):
     if method in ("oracle", "all"):
         config["resolution"] = ent._ORACLE_RESOLUTION
 
+    us = [ent.GroverPathPoint.from_angle(n, t).u for t in ts]
     # looked up through ``ent`` at call time, so wrappers installed on the module are seen
     routes = {
-        "exact": lambda t, u: ent.entanglement_exact(n, u),
-        "approx": lambda t, u: ent.entanglement_approx_curve(n, t),
-        "oracle": lambda t, u: ent.entanglement_grid_oracle(ent.grover_path_ray(n, u), n, seed=seed),
+        "exact": lambda: ent._exact_sweep(n, us),
+        "approx": lambda: [ent.entanglement_approx_curve(n, t) for t in ts],
+        "oracle": lambda: [ent.entanglement_grid_oracle(ent.grover_path_ray(n, u), n, seed=seed) for u in us],
     }
     columns = [("t", "radians"), ("u", "dimensionless")]
+    data = [ts, us]
     if method == "all":
-        names = list(routes)
-        fields = lambda res: (res.value,)
-        columns += [(f"E_{name}", "radians") for name in names]
+        for name in routes:
+            columns.append((f"E_{name}", "radians"))
+            data.append([res.value for res in routes[name]()])
     else:
-        names = [method]
-        fields = lambda res: (res.value, res.r_star, res.chi_star, res.root_count)
         columns += [("E", "radians"), ("r_star", "dimensionless"), ("chi_star", "radians"),
                     ("root_count", "count")]
-    rows = []
-    for t in ts:
-        u = ent.GroverPathPoint.from_angle(n, t).u
-        rows.append((t, u, *(v for name in names for v in fields(routes[name](t, u)))))
-    data = list(zip(*rows))
-    if method in ("approx", "oracle"):
-        data[-1] = None  # only root finding counts roots
+        results = routes[method]()
+        data += [[getattr(res, key) for res in results] for key in ("value", "r_star", "chi_star")]
+        # only root finding counts roots
+        data.append([res.root_count for res in results] if method == "exact" else None)
     return config, columns, data
 
 

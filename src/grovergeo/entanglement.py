@@ -68,6 +68,7 @@ _ASCENT_TOL = 1e-13
 _ASCENT_STARTS = 32  # random starts, beside the uniform and the greedy one
 _ASCENT_MAX_SWEEPS = 500
 _NEAR_REAL = 1e-6  # companion roots of a close real pair may split off the axis
+_ROOT_BLOCK = 256  # levels per eigvals call: a stack of at most 1.2 MB at n = 24
 _ORACLE_RESOLUTION = 64  # coarse (r, chi) grid size of each symmetric chart
 _POLISH_STARTS = 4  # grid maxima, screened row starts and polished points kept, per chart
 _POLISH_STEPS = 40
@@ -268,38 +269,62 @@ def _stationarity(n: int, u: float, r: float) -> float:
     return (c * ((b + a) ** (n - 1) * (b - a) + a * bn) - d * a * bn) / (d * bn * b)
 
 
-def extremum_roots(n: int, u: float) -> list[float]:
-    """All radii r in [0, 1] stationary for the path state (n, u), sorted.
+def _binomials(m: int) -> list[int]:
+    """C(m, k) for k = 0..m."""
+    return [math.comb(m, k) for k in range(m + 1)]
 
-    The stationarity condition u[(1+r)^(n-1)(1-r) + r] = r is a degree-n
-    polynomial in r.  Its exact (companion-matrix) roots near [0, 1] get a
-    Newton polish on the exactly evaluated polynomial and are kept where it
-    changes sign within one ulp, so no close root pair is missed.
+
+def _companion_roots(n: int, levels):
+    """Complex roots of each level's stationarity polynomial, sorted, one row per level.
+
+    The degree-n coefficients c of u[(1+r)^(n-1)(1-r) + r] - r are
+    u (C(n-1, k) - C(n-1, k-1)), plus u - 1 at k = 1.  Each block of up to
+    ``_ROOT_BLOCK`` levels fills its companion matrices, ones below the
+    diagonal and -c[:n] / c[n] in the last column, and solves them in one
+    ``eigvals`` call: a row's roots do not depend on the other levels, and
+    the stack's memory stays bounded.  A generator; every level must lie in
+    [tiny, 1].
     """
-    u = GroverPathPoint(n, u).u
-    if u > 1.0:
-        return []  # u[(1+r)^(n-1)(1-r) + r] >= ur > r on (0, 1]
-    if u < np.finfo(float).tiny:
-        return [u]  # 1/u overflows the companion matrix; (1+u)^(n-1) rounds to 1
-    binomials = [math.comb(n - 1, k) for k in range(n)]  # of (1+r)^(n-1)
-    coeffs = u * np.polynomial.polynomial.polymul(binomials, [1.0, -1.0])
-    coeffs[1] += u - 1.0
+    padded = np.array([0, *_binomials(n - 1), 0], dtype=float)
+    base = padded[1:] - padded[:-1]
+    size = min(len(levels), _ROOT_BLOCK)
+    stack = np.zeros((size, n, n))  # reused by every block
+    stack.reshape(size, n * n)[:, n :: n + 1] = 1.0  # the subdiagonal
+    for start in range(0, len(levels), _ROOT_BLOCK):
+        u = np.array(levels[start : start + _ROOT_BLOCK], dtype=float)
+        c = u[:, None] * base
+        c[:, 1] += u - 1.0
+        mat = stack[: len(u)]
+        mat[:, :, -1] = 0.0 - c[:, :-1] / c[:, -1:]
+        # a 1 x 1 matrix is its own root; LAPACK would rescale a tiny one and move its last bit
+        roots = np.linalg.eigvals(mat) if n > 1 else mat[:, 0].copy()
+        roots.sort(axis=-1)
+        yield from roots
+
+
+def _polished_roots(n: int, u: float, candidates) -> list[float]:
+    """The stationary radii in [0, 1] among one level's companion roots, polished, sorted and distinct."""
     roots: list[float] = []
-    for z in np.polynomial.polynomial.polyroots(coeffs):
+    for z in candidates:
         r = float(z.real)
         if abs(z.imag) > _NEAR_REAL or not -_NEAR_REAL <= r <= 1.0 + _NEAR_REAL:
             continue
+        middle = None
         for _ in range(8):
             slope = u * ((1.0 + r) ** (n - 2) * (n - 2 - n * r) + 1.0) - 1.0
             if slope == 0.0:
                 break
-            r, last = min(1.0, max(0.0, r - _stationarity(n, u, r) / slope)), r
+            value = _stationarity(n, u, r)
+            r, last = min(1.0, max(0.0, r - value / slope)), r
             if r == last:  # a fixed point: later steps would repeat it
+                middle = value
                 break
+        if middle is None:
+            middle = _stationarity(n, u, r)
         # a near-real complex pair or a root beyond [0, 1] has no sign change
-        ulp_box = (max(0.0, math.nextafter(r, 0.0)), r, min(1.0, math.nextafter(r, 1.0)))
-        values = [_stationarity(n, u, x) for x in ulp_box]
-        if min(values) <= 0.0 <= max(values):
+        below = _stationarity(n, u, max(0.0, math.nextafter(r, 0.0)))
+        above = _stationarity(n, u, min(1.0, math.nextafter(r, 1.0)))
+        if min(below, middle, above) <= 0.0 <= max(below, middle, above):
             roots.append(r)
     out: list[float] = []
     for r in sorted(roots):  # collapse a root pair that polished onto one point
@@ -308,12 +333,36 @@ def extremum_roots(n: int, u: float) -> list[float]:
     return out
 
 
-def _path_distance(n: int, u: float, r: float) -> float:
+def extremum_roots(n: int, u):
+    """All radii r in [0, 1] stationary for the path state (n, u), sorted.
+
+    The stationarity condition u[(1+r)^(n-1)(1-r) + r] = r is a degree-n
+    polynomial in r.  Its exact (companion-matrix) roots near [0, 1] get a
+    Newton polish on the exactly evaluated polynomial and are kept where it
+    changes sign within one ulp, so no close root pair is missed.  Given a
+    1-D sequence of levels, returns one such list per level, and the
+    companion matrices of all of them are solved as one blocked stack.
+    """
+    _check_qubits(n)
+    scalar = np.ndim(u) == 0
+    levels = [GroverPathPoint(n, x).u for x in ((u,) if scalar else u)]
+    tiny = np.finfo(float).tiny
+    # u > 1 has no root: u[(1+r)^(n-1)(1-r) + r] >= ur > r on (0, 1].  Below
+    # tiny, 1/u overflows the companion matrix, (1+u)^(n-1) rounds to 1 and
+    # the root is u itself.
+    out = [[] if x > 1.0 else [x] for x in levels]
+    solved = [i for i, x in enumerate(levels) if tiny <= x <= 1.0]
+    for i, candidates in zip(solved, _companion_roots(n, [levels[i] for i in solved])):
+        out[i] = _polished_roots(n, levels[i], candidates)
+    return out[0] if scalar else out
+
+
+def _path_distance(n: int, u: float, r: float, comb) -> float:
     """Fubini-Study distance from the path state (n, u) to the product (r, 1)^n.
 
     Kahan's 4 atan2(|x - y|, |x + y|), summed over the n + 1 classes of k
-    zero bits: C(n, k) indices each, path amplitude 1 at k = 0 (the marked
-    state) and u elsewhere, product amplitude r^k, both taken in
+    zero bits: ``comb[k]`` = C(n, k) indices each, path amplitude 1 at k = 0
+    (the marked state) and u elsewhere, product amplitude r^k, both taken in
     ``_chart``'s pairs: (level, marked) for u, a^k b^(n - k) for r.  The
     squared norms 1 + (2^n - 1) u^2 and (1 + r^2)^n agree bit for bit at
     u = r = 1 and u = r = 0, which read exactly 0.
@@ -324,9 +373,8 @@ def _path_distance(n: int, u: float, r: float) -> float:
     product_norm = math.sqrt((a * a + b * b) ** n)
     level, marked = level / path_norm, marked / path_norm
     diff = total = 0.0
-    for k in range(n + 1):
+    for k, c in enumerate(comb):
         x, y = level if k else marked, a**k * b ** (n - k) / product_norm
-        c = math.comb(n, k)
         diff += c * (x - y) ** 2
         total += c * (x + y) ** 2
     return 4.0 * math.atan2(math.sqrt(diff), math.sqrt(total))
@@ -343,7 +391,7 @@ def entanglement_exact_2q(u: float) -> EntanglementResult:
     if u > 1.0:
         raise DomainError(f"path level must lie in [0, 1], got {u!r}")
     r = 2.0 * u / ((1.0 - u) + math.sqrt((1.0 - u) ** 2 + 4.0 * u * u))
-    return EntanglementResult(_path_distance(2, u, r), r, 0.0, "closed2q", None)
+    return EntanglementResult(_path_distance(2, u, r, (1, 2, 1)), r, 0.0, "closed2q", None)
 
 
 def entanglement_exact(n: int, u: float) -> EntanglementResult:
@@ -353,12 +401,21 @@ def entanglement_exact(n: int, u: float) -> EntanglementResult:
     ``_chart``'s first chart [0, 1] and keeps the nearest, the smaller r on a
     tie; the product phase is 0 because the path amplitudes are nonnegative.
     """
-    u = GroverPathPoint(n, u).u
-    if u > 1.0:
-        raise DomainError(f"path level must lie in [0, 1], got {u!r}")
-    roots = extremum_roots(n, u)
-    e, r_star = min((_path_distance(n, u, r), r) for r in roots)
-    return EntanglementResult(e, r_star, 0.0, "rootfind", len(roots))
+    return _exact_sweep(n, [u])[0]
+
+
+def _exact_sweep(n: int, us) -> list[EntanglementResult]:
+    """``entanglement_exact`` at each level of ``us``, from one stacked ``extremum_roots`` call."""
+    levels = [GroverPathPoint(n, u).u for u in us]
+    for u in levels:
+        if u > 1.0:
+            raise DomainError(f"path level must lie in [0, 1], got {u!r}")
+    comb = _binomials(n)
+    results = []
+    for u, roots in zip(levels, extremum_roots(n, levels)):
+        e, r_star = min((_path_distance(n, u, r, comb), r) for r in roots)
+        results.append(EntanglementResult(e, r_star, 0.0, "rootfind", len(roots)))
+    return results
 
 
 def entanglement_approx(n: int, u: float) -> EntanglementResult:
@@ -370,7 +427,7 @@ def entanglement_approx(n: int, u: float) -> EntanglementResult:
     if (n - 1) * u >= 1.0:
         raise ApproxDomainError(f"approximation needs (n - 1) * u < 1, got n={n} u={u!r}")
     r_m = u / (1.0 - (n - 1) * u)
-    return EntanglementResult(_path_distance(n, u, r_m), r_m, 0.0, "approx", None)
+    return EntanglementResult(_path_distance(n, u, r_m, _binomials(n)), r_m, 0.0, "approx", None)
 
 
 def half_way_angle(n: int) -> float:

@@ -84,6 +84,13 @@ _GOLDEN_STDOUT = {
     "measure-compare --points 9": "da91f7f164c5ff7fb0924e8f06e5186202e69fbbaff9ef462c83f7df1960fd3a",
     "search-time --points 7": "bc80ba7295a8db38e9c16c66075696fafc901da58006e72e3e4ea29282972357",
     "separability --n 4 --points 7": "b2a8dca5c66ab027cd64e7c3d824140421e7b369d6e3ffaf6bf56484e2026a49",
+    # the exact route across n, frozen before it solved a sweep as one stack
+    "entangle-sweep --n 1 --points 257 --method exact": "b062cdc4c6e4b307f269f13736602f4cd74c7bfacde1133bd9c4ab4c4ef89500",
+    "entangle-sweep --n 2 --points 257 --method exact": "d9158ce29e9a96243768bada549daae76d1712ed3d654ab409aa484deaebec18",
+    "entangle-sweep --n 7 --points 257 --method exact": "79cdc0b242b2643ea073650dcb06f5c855ace3498c167c50026e79bb913cb18e",
+    "entangle-sweep --n 12 --points 257 --method exact": "664843c2c456b34f70bace3b37c9fc2734dabfdaf1a8736deb512144be1fb6c7",
+    "entangle-sweep --n 24 --points 257 --method exact": "f66b316e66bd053b5d68a1f32552ae10feeaf30cbc6b16e5c47bdedb5e9de0fb",
+    "entangle-sweep --n 8 --points 5 --method all": "0347d5e209afce6d97965aea7c14fedce2c1571f8b27b330536bafb91bc5f5dc",
 }
 
 

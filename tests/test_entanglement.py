@@ -2,13 +2,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polymul, polyroots
 
 import grovergeo
 from grovergeo import entanglement as ent
@@ -43,6 +46,7 @@ from grovergeo.errors import (
     DimensionError,
     DomainError,
     InvalidRay,
+    SizeError,
 )
 from grovergeo.ray_space import _norm, _unit
 
@@ -335,6 +339,77 @@ class TestExactRouteProperties:
         if (n - 1) * u < 1.0:
             approx = np.cos(entanglement_approx(n, u).value / 2.0) ** 2
             assert best >= approx - tol
+
+
+_TINY = float(np.finfo(float).tiny)
+_STACK_LEVEL = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(0.0795, 0.0825),  # the n = 7 fold window
+    st.sampled_from([0.0, 1.0, 5e-324, _TINY]),
+    st.floats(1.0, 1e300, exclude_min=True),
+)
+
+
+def _root_bits(rows):
+    return [[r.hex() for r in roots] for roots in rows]
+
+
+class TestStackedRoots:
+    @_PROPERTY_SETTINGS
+    @given(
+        n=st.integers(1, 24),
+        levels=st.lists(_STACK_LEVEL, min_size=1, max_size=64),
+        block=st.integers(1, 64),
+    )
+    @example(n=7, levels=[0.0, 1.0, 5e-324, _TINY, 1.5, 0.0812, 0.08171729570489242, 0.0795, 0.0825], block=2)
+    @example(n=24, levels=[_TINY, 1.0, np.nextafter(1.0, 2.0), 0.0, 5e-324], block=64)
+    @example(n=1, levels=[0.0, 0.5, 1.0, 3.0], block=1)
+    def test_stack_equals_one_level_calls(self, n, levels, block):
+        # a row's roots depend neither on its position nor on the stack or block size
+        singles = [extremum_roots(n, u) for u in levels]
+        solved = [u for u in levels if _TINY <= u <= 1.0]
+        with patch.object(ent, "_ROOT_BLOCK", block):
+            stacked = extremum_roots(n, levels)
+            rows = list(ent._companion_roots(n, solved))
+        assert _root_bits(stacked) == _root_bits(singles)
+        # the companion stage against numpy's polynomial root finder, bit for bit
+        assert len(rows) == len(solved)
+        for u, row in zip(solved, rows):
+            coeffs = u * polymul([math.comb(n - 1, k) for k in range(n)], [1.0, -1.0])
+            coeffs[1] += u - 1.0
+            want = np.asarray(polyroots(coeffs), dtype=complex)
+            assert np.array_equal(np.asarray(row, dtype=complex), want), (n, u)
+
+    def test_stack_shapes(self):
+        assert extremum_roots(7, []) == []
+        assert extremum_roots(7, np.array([0.0812])) == [extremum_roots(7, 0.0812)]
+        with pytest.raises(SizeError):
+            extremum_roots(25, [])
+        with pytest.raises(DomainError):
+            extremum_roots(7, [0.5, -0.1])
+
+    def test_exact_sweep_equals_one_level_calls(self):
+        us = [0.0, 1e-9, 0.0795, 0.0812, 0.5, 1.0]
+        assert ent._exact_sweep(7, us) == [entanglement_exact(7, u) for u in us]
+        with pytest.raises(DomainError):
+            ent._exact_sweep(7, [0.5, 1.5])
+
+    def test_companion_stack_memory_is_bounded(self):
+        # blocks of _ROOT_BLOCK levels: one (block, n, n) stack, reused, so the
+        # peak does not grow with the sweep; both counts measured 1,487,744 B
+        def peak(count):
+            levels = np.linspace(1e-3, 1.0, count).tolist()
+            tracemalloc.start()
+            try:
+                for _ in ent._companion_roots(24, levels):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(1000), peak(5000)
+        assert large <= small + 2**16
+        assert small < 2 * ent._ROOT_BLOCK * 24 * 24 * 8
 
 
 # E of the exact route on a grid of n and u, to 42 digits: the largest squared

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import grovergeo
@@ -59,3 +62,36 @@ def test_one_chart_flip():
             if reciprocal.search(line) and allowed not in line:
                 found.append(f"{path.name}:{number}: {line.strip()}")
     assert found == []
+
+
+def test_no_numpy_polynomial():
+    # the exact route solves its companion matrices with np.linalg.eigvals;
+    # numpy.polynomial's per-call overhead was most of an exact point's time
+    reference = re.compile(r"\b(?:np|numpy)\s*\.\s*polynomial\b|import\s+polynomial\b|\bpoly(?:roots|companion|mul|val)\b")
+    found = []
+    for path in sorted(Path(grovergeo.__file__).parent.glob("*.py")):
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if reference.search(line):
+                found.append(f"{path.name}:{number}: {line.strip()}")
+    assert found == []
+
+
+def test_exact_sweep_loads_no_numpy_polynomial():
+    # a fresh interpreter, so modules other tests imported do not count
+    src = str(Path(grovergeo.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        "from click.testing import CliRunner\n"
+        "from grovergeo.cli import main\n"
+        "res = CliRunner().invoke(main, 'entangle-sweep --n 7 --points 5 --method exact'.split())\n"
+        "assert res.exit_code == 0, res.output\n"
+        "print([m for m in sys.modules if m.startswith('numpy.polynomial')])\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
