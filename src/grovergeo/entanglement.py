@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import pairwise
 
 import numpy as np
 
@@ -67,8 +68,6 @@ _SYMMETRY_TOL = 1e-10
 _ASCENT_TOL = 1e-13
 _ASCENT_STARTS = 32  # random starts, beside the uniform and the greedy one
 _ASCENT_MAX_SWEEPS = 500
-_NEAR_REAL = 1e-6  # companion roots of a close real pair may split off the axis
-_ROOT_BLOCK = 256  # levels per eigvals call: a stack of at most 1.2 MB at n = 24
 _ORACLE_RESOLUTION = 64  # coarse (r, chi) grid size of each symmetric chart
 _POLISH_STARTS = 4  # grid maxima, screened row starts and polished points kept, per chart
 _POLISH_STEPS = 40
@@ -274,86 +273,78 @@ def _binomials(m: int) -> list[int]:
     return [math.comb(m, k) for k in range(m + 1)]
 
 
-def _companion_roots(n: int, levels):
-    """Complex roots of each level's stationarity polynomial, sorted, one row per level.
+def _piece_root(n: int, u: float, lo: float, hi: float, f_lo: float, f_hi: float, r: float) -> float:
+    """The stationary radius inside [lo, hi], whose ends' exact values ``f_lo`` and ``f_hi`` differ in sign.
 
-    The degree-n coefficients c of u[(1+r)^(n-1)(1-r) + r] - r are
-    u (C(n-1, k) - C(n-1, k-1)), plus u - 1 at k = 1.  Each block of up to
-    ``_ROOT_BLOCK`` levels fills its companion matrices, ones below the
-    diagonal and -c[:n] / c[n] in the last column, and solves them in one
-    ``eigvals`` call: a row's roots do not depend on the other levels, and
-    the stack's memory stays bounded.  A generator; every level must lie in
-    [tiny, 1].
+    Newton steps from ``r`` close a bracket on the sign of f to two adjacent
+    floats, stepping to its midpoint when a step would leave it and one
+    float across when a step stalls; the end of smaller |f| is the root.  A
+    pass on f in floats, cheap but many ulps off where the root is
+    ill-conditioned, starts a pass on f exact.
     """
-    padded = np.array([0, *_binomials(n - 1), 0], dtype=float)
-    base = padded[1:] - padded[:-1]
-    size = min(len(levels), _ROOT_BLOCK)
-    stack = np.zeros((size, n, n))  # reused by every block
-    stack.reshape(size, n * n)[:, n :: n + 1] = 1.0  # the subdiagonal
-    for start in range(0, len(levels), _ROOT_BLOCK):
-        u = np.array(levels[start : start + _ROOT_BLOCK], dtype=float)
-        c = u[:, None] * base
-        c[:, 1] += u - 1.0
-        mat = stack[: len(u)]
-        mat[:, :, -1] = 0.0 - c[:, :-1] / c[:, -1:]
-        # a 1 x 1 matrix is its own root; LAPACK would rescale a tiny one and move its last bit
-        roots = np.linalg.eigvals(mat) if n > 1 else mat[:, 0].copy()
-        roots.sort(axis=-1)
-        yield from roots
-
-
-def _polished_roots(n: int, u: float, candidates) -> list[float]:
-    """The stationary radii in [0, 1] among one level's companion roots, polished, sorted and distinct."""
-    roots: list[float] = []
-    for z in candidates:
-        r = float(z.real)
-        if abs(z.imag) > _NEAR_REAL or not -_NEAR_REAL <= r <= 1.0 + _NEAR_REAL:
-            continue
-        middle = None
-        for _ in range(8):
+    side = f_lo > 0.0  # the sign of f on lo's side of the root
+    for exact in (False, True):
+        (a, f_a), (b, f_b) = (lo, f_lo), (hi, f_hi)
+        while True:
+            value = _stationarity(n, u, r) if exact else u * ((1.0 + r) ** (n - 1) * (1.0 - r) + r) - r
+            if value != 0.0 and (value > 0.0) == side:
+                a, f_a = r, value
+            else:
+                b, f_b = r, value
             slope = u * ((1.0 + r) ** (n - 2) * (n - 2 - n * r) + 1.0) - 1.0
-            if slope == 0.0:
-                break
-            value = _stationarity(n, u, r)
-            r, last = min(1.0, max(0.0, r - value / slope)), r
-            if r == last:  # a fixed point: later steps would repeat it
-                middle = value
-                break
-        if middle is None:
-            middle = _stationarity(n, u, r)
-        # a near-real complex pair or a root beyond [0, 1] has no sign change
-        below = _stationarity(n, u, max(0.0, math.nextafter(r, 0.0)))
-        above = _stationarity(n, u, min(1.0, math.nextafter(r, 1.0)))
-        if min(below, middle, above) <= 0.0 <= max(below, middle, above):
-            roots.append(r)
-    out: list[float] = []
-    for r in sorted(roots):  # collapse a root pair that polished onto one point
-        if not out or r - out[-1] > 1e-9:
-            out.append(r)
-    return out
+            step = r - value / slope if slope else math.nan
+            if step == r:
+                step = math.nextafter(r, b if r == a else a)
+            if not a < step < b:
+                step = a + (b - a) / 2.0
+                if not a < step < b:
+                    break
+            r = step
+        r = min((abs(f_a), a), (abs(f_b), b))[1]
+    return r
+
+
+def _stationary_radii(n: int, u: float) -> list[float]:
+    """Sorted radii r in [0, 1] where f(r) = u[(1+r)^(n-1)(1-r) + r] - r changes sign or vanishes; 0 <= u <= 1.
+
+    f is g(r)(u - ``stationary_parameter``(r)) with g > 0, and the slope of
+    ``stationary_parameter`` has the sign of (n - 1) r^2 - (n - 2) r + 1.
+    Past ``critical_qubit_number`` its roots, the fold edges, cut [0, 1]
+    into three monotone pieces; the smaller is taken as 2 / ((n - 2) + s),
+    s = sqrt(n^2 - 8n + 8), free of cancellation.  A piece holds a root exactly when the exact
+    values of f at its ends differ in sign, and then only one; a root at a
+    piece's end is kept once.  No 2^n vector is built, so ``n`` is not capped.
+    """
+    edges = [0.0, 1.0]
+    if n > critical_qubit_number():
+        big = (n - 2) + math.sqrt(n * n - 8 * n + 8)
+        edges[1:1] = 2.0 / big, big / (2.0 * (n - 1))
+    values = [_stationarity(n, u, e) for e in edges]
+    roots = [e for e, f in zip(edges, values) if f == 0.0]
+    for (lo, hi), (f_lo, f_hi) in zip(pairwise(edges), pairwise(values)):
+        if f_lo != 0.0 and f_hi != 0.0 and (f_lo > 0.0) != (f_hi > 0.0):
+            roots.append(_piece_root(n, u, lo, hi, f_lo, f_hi, u if lo == 0.0 else (lo + hi) / 2.0))
+    return sorted(roots)
 
 
 def extremum_roots(n: int, u):
     """All radii r in [0, 1] stationary for the path state (n, u), sorted.
 
-    The stationarity condition u[(1+r)^(n-1)(1-r) + r] = r is a degree-n
-    polynomial in r.  Its exact (companion-matrix) roots near [0, 1] get a
-    Newton polish on the exactly evaluated polynomial and are kept where it
-    changes sign within one ulp, so no close root pair is missed.  Given a
-    1-D sequence of levels, returns one such list per level, and the
-    companion matrices of all of them are solved as one blocked stack.
+    The stationarity condition u[(1+r)^(n-1)(1-r) + r] = r is solved on
+    each monotone piece of ``stationary_parameter``, whose ends, the fold
+    edges, are known in closed form.  The exact signs of the condition at
+    those ends say which pieces hold a root, one each.  Within a piece,
+    bracketed Newton steps, first in floats and then on the exactly
+    evaluated condition, close on two adjacent floats across its sign
+    change, and the one nearer zero is the root, so a close root pair at
+    the fold is neither merged nor missed.  A level u > 1 has no root:
+    u[(1+r)^(n-1)(1-r) + r] >= ur > r on (0, 1].  Given a 1-D sequence of
+    levels, returns one such list per level.
     """
     _check_qubits(n)
     scalar = np.ndim(u) == 0
     levels = [GroverPathPoint(n, x).u for x in ((u,) if scalar else u)]
-    tiny = np.finfo(float).tiny
-    # u > 1 has no root: u[(1+r)^(n-1)(1-r) + r] >= ur > r on (0, 1].  Below
-    # tiny, 1/u overflows the companion matrix, (1+u)^(n-1) rounds to 1 and
-    # the root is u itself.
-    out = [[] if x > 1.0 else [x] for x in levels]
-    solved = [i for i, x in enumerate(levels) if tiny <= x <= 1.0]
-    for i, candidates in zip(solved, _companion_roots(n, [levels[i] for i in solved])):
-        out[i] = _polished_roots(n, levels[i], candidates)
+    out = [[] if x > 1.0 else _stationary_radii(n, x) for x in levels]
     return out[0] if scalar else out
 
 
@@ -490,9 +481,10 @@ def _newton_ascent(columns: np.ndarray, v: np.ndarray, max_step: float, steps: i
     concave and every step ascends; along a flat direction (a ring of
     maxima) the step stays small.  A step moves at most ``max_step``, the
     iterate is clipped to the chart's disk |v| <= 1, and a start stops once
-    its step is at most ``_POLISH_TOL``.  A start also stops, back where it
-    was, when a full-length step clipped at the edge fails to ascend: it
-    has met the edge on the way to a maximum in the other chart's disk.
+    its step is at most ``_POLISH_TOL`` or where p is exactly 0.  A start
+    also stops, back where it was, when a full-length step clipped at the
+    edge fails to ascend: it has met the edge on the way to a maximum in
+    the other chart's disk.
     Returns the points reached and their values |p(v)|^2 / (1+|v|^2)^n.
     """
     n = len(columns) - 1
@@ -511,8 +503,10 @@ def _newton_ascent(columns: np.ndarray, v: np.ndarray, max_step: float, steps: i
             failed = clipped & (value <= last_value)
             v[failed], value[failed] = moved[failed], last_value[failed]
             active &= ~failed
+        active &= p != 0.0  # L has no gradient at a zero of p: such a start stays where it is
         if k == steps or not active.any():
             return v, value
+        p = np.where(active, p, 1.0)  # an idle start's step is discarded; this keeps it finite
         vq = v.conj() / q
         g = dp / p
         w = g - n * vq

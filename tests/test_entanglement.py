@@ -1,17 +1,15 @@
+import hashlib
 import math
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
-from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from numpy.polynomial.polynomial import polymul, polyroots
 
 import grovergeo
 from grovergeo import entanglement as ent
@@ -48,6 +46,7 @@ from grovergeo.errors import (
     InvalidRay,
     SizeError,
 )
+from grovergeo.cli import _angle_grid
 from grovergeo.ray_space import _norm, _unit
 
 # a seeded 18-qubit product state: every start of the ascent converges in 2 sweeps
@@ -302,6 +301,37 @@ class TestStationaryStructure:
             assert stationary_parameter(7, r) == pytest.approx(u, abs=1e-10)
         assert entanglement_exact(7, u).root_count == 3
 
+    def test_two_qubit_roots_at_small_levels(self):
+        # small levels at which a companion-matrix root finder found no real root
+        assert extremum_roots(2, 1e-15) == [entanglement_exact_2q(1e-15).r_star]
+        small = [1e-15, 7.0456969927982054e-15, 4.140554727411892e-14, 1.193002141969449e-13]
+        for u in small + [1.1975375624907633e-11]:
+            closed = entanglement_exact_2q(u)
+            (r,) = extremum_roots(2, u)
+            assert abs(r - closed.r_star) <= math.ulp(closed.r_star)
+            assert entanglement_exact(2, u).value == pytest.approx(closed.value, rel=1e-15)
+
+
+def _changed_pieces(n, u):
+    """The number of monotone pieces of stationary_parameter whose ends' exact stationarity signs differ.
+
+    The pieces end at 0, at the roots of (n - 1) r^2 - (n - 2) r + 1 (the
+    fold edges, real from n = 7 on) and at 1.
+    """
+    ends = [0.0, 1.0]
+    if n >= 7:
+        s = math.sqrt(n * n - 8 * n + 8)
+        ends[1:1] = (n - 2 - s) / (2 * (n - 1)), (n - 2 + s) / (2 * (n - 1))
+    signs = [np.sign(ent._stationarity(n, u, r)) for r in ends]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _straddles(n, u, r):
+    """Whether the exact stationarity condition changes sign or vanishes within one ulp of r."""
+    near = (max(0.0, math.nextafter(r, 0.0)), r, min(1.0, math.nextafter(r, 1.0)))
+    values = [ent._stationarity(n, u, x) for x in near]
+    return min(values) <= 0.0 <= max(values)
+
 
 _PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
 
@@ -330,6 +360,17 @@ class TestExactRouteProperties:
             assert min(lo, hi) - 1e-10 <= u <= max(lo, hi) + 1e-10
 
     @_PROPERTY_SETTINGS
+    @given(n=st.integers(1, 24), k=st.floats(0.0, 307.0))
+    @example(n=2, k=15.0)
+    @example(n=7, k=307.0)
+    def test_log_uniform_levels_have_a_root_per_changed_piece(self, n, k):
+        u = 10.0**-k
+        roots = extremum_roots(n, u)
+        if 0.0 < u < 1.0:
+            assert roots
+        assert len(roots) == _changed_pieces(n, u)
+
+    @_PROPERTY_SETTINGS
     @given(n=st.integers(2, 24), u=st.floats(0.0, 1.0), r=st.floats(0.0, 1.0))
     def test_rootfind_overlap_is_the_best(self, n, u, r):
         # the closed-form overlap rounds to about n ulps near its maximum
@@ -354,31 +395,41 @@ def _root_bits(rows):
     return [[r.hex() for r in roots] for roots in rows]
 
 
+# sha256 of the roots' float.hex() bits, one line per level, taken from the
+# companion-matrix route that the bracketed one replaced; it found a root at
+# every one of these levels
+_ROOT_BITS_SHA256 = "9120f33b9a95cf29f85dd87fe9f3dc7cf7f311f48be475f9451f3667eb2b1022"
+_ROOT_BITS_EXAMPLES = [0.0, 1.0, 5e-324, _TINY, 0.0812, 0.08171729570489242, 0.0795, 0.0825, 0.5]
+
+
 class TestStackedRoots:
     @_PROPERTY_SETTINGS
-    @given(
-        n=st.integers(1, 24),
-        levels=st.lists(_STACK_LEVEL, min_size=1, max_size=64),
-        block=st.integers(1, 64),
-    )
-    @example(n=7, levels=[0.0, 1.0, 5e-324, _TINY, 1.5, 0.0812, 0.08171729570489242, 0.0795, 0.0825], block=2)
-    @example(n=24, levels=[_TINY, 1.0, np.nextafter(1.0, 2.0), 0.0, 5e-324], block=64)
-    @example(n=1, levels=[0.0, 0.5, 1.0, 3.0], block=1)
-    def test_stack_equals_one_level_calls(self, n, levels, block):
-        # a row's roots depend neither on its position nor on the stack or block size
+    @given(n=st.integers(1, 24), levels=st.lists(_STACK_LEVEL, min_size=1, max_size=64))
+    @example(n=7, levels=[0.0, 1.0, 5e-324, _TINY, 1.5, 0.0812, 0.08171729570489242, 0.0795, 0.0825])
+    @example(n=24, levels=[_TINY, 1.0, np.nextafter(1.0, 2.0), 0.0, 5e-324])
+    @example(n=1, levels=[0.0, 0.5, 1.0, 3.0])
+    def test_stack_equals_one_level_calls(self, n, levels):
+        # a row's roots depend neither on its position nor on the other levels
         singles = [extremum_roots(n, u) for u in levels]
-        solved = [u for u in levels if _TINY <= u <= 1.0]
-        with patch.object(ent, "_ROOT_BLOCK", block):
-            stacked = extremum_roots(n, levels)
-            rows = list(ent._companion_roots(n, solved))
-        assert _root_bits(stacked) == _root_bits(singles)
-        # the companion stage against numpy's polynomial root finder, bit for bit
-        assert len(rows) == len(solved)
-        for u, row in zip(solved, rows):
-            coeffs = u * polymul([math.comb(n - 1, k) for k in range(n)], [1.0, -1.0])
-            coeffs[1] += u - 1.0
-            want = np.asarray(polyroots(coeffs), dtype=complex)
-            assert np.array_equal(np.asarray(row, dtype=complex), want), (n, u)
+        assert _root_bits(extremum_roots(n, levels)) == _root_bits(singles)
+
+    @_PROPERTY_SETTINGS
+    @given(n=st.integers(1, 24), u=_STACK_LEVEL)
+    @example(n=7, u=0.08171729626723459)  # just below the fold's upper turn: a root pair 2.8e-8 apart
+    @example(n=9, u=0.032362347018072515)  # just above its lower turn: a pair 3.4e-8 apart
+    def test_each_root_is_an_exact_sign_change_within_one_ulp(self, n, u):
+        roots = extremum_roots(n, u)
+        assert all(_straddles(n, u, r) for r in roots)
+        assert all(b > a for a, b in zip(roots, roots[1:]))
+        assert len(roots) == _changed_pieces(n, u)
+
+    def test_root_bits_are_frozen(self):
+        digest = hashlib.sha256()
+        for n in range(1, 25):
+            grids = [GroverPathPoint.from_angle(n, t).u for points in (30, 257) for t in _angle_grid(n, points)]
+            for roots in _root_bits(extremum_roots(n, _ROOT_BITS_EXAMPLES + grids)):
+                digest.update((" ".join(roots) + "\n").encode())
+        assert digest.hexdigest() == _ROOT_BITS_SHA256
 
     def test_stack_shapes(self):
         assert extremum_roots(7, []) == []
@@ -394,22 +445,14 @@ class TestStackedRoots:
         with pytest.raises(DomainError):
             ent._exact_sweep(7, [0.5, 1.5])
 
-    def test_companion_stack_memory_is_bounded(self):
-        # blocks of _ROOT_BLOCK levels: one (block, n, n) stack, reused, so the
-        # peak does not grow with the sweep; both counts measured 1,487,744 B
-        def peak(count):
-            levels = np.linspace(1e-3, 1.0, count).tolist()
-            tracemalloc.start()
-            try:
-                for _ in ent._companion_roots(24, levels):
-                    pass
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        small, large = peak(1000), peak(5000)
-        assert large <= small + 2**16
-        assert small < 2 * ent._ROOT_BLOCK * 24 * 24 * 8
+    @pytest.mark.parametrize("n", [48, 100, 400])
+    def test_per_level_solver_past_the_qubit_cap(self, n):
+        # the solver builds no 2^n vector; 20 levels from 0.5 down to 1e-100
+        for u in np.geomspace(0.5, 1e-100, 20).tolist():
+            roots = ent._stationary_radii(n, u)
+            assert roots and all(_straddles(n, u, r) for r in roots)
+            assert all(b > a for a, b in zip(roots, roots[1:]))
+            assert len(roots) == _changed_pieces(n, u)
 
 
 # E of the exact route on a grid of n and u, to 42 digits: the largest squared
@@ -805,6 +848,13 @@ class TestOracle:
         assert p >= _brute_force_grid_overlap(psi, 2, resolution=1024) - 1e-15
         assert p == pytest.approx(0.50000438128847944729, abs=1e-14)
         assert r_star == pytest.approx(0.99999748768665207, abs=1e-9)
+
+    def test_ascent_start_on_a_zero_of_p_stays_there(self):
+        # p(v) = v^3: the start v = 0 has no ascent direction, and dividing by p there warned
+        columns = ent._derivative_columns(np.array([0, 0, 0, 1], dtype=complex))
+        v, value = ent._newton_ascent(columns, np.array([0j, 0.5]), 1 / 63, 3)
+        assert v[0] == 0.0 and value[0] == 0.0
+        assert value[1] > 0.5**6 / 1.25**3
 
     def test_path_state_phase_lies_in_one_turn(self):
         for n in range(2, 9):

@@ -65,9 +65,14 @@ def test_one_chart_flip():
 
 
 def test_no_numpy_polynomial():
-    # the exact route solves its companion matrices with np.linalg.eigvals;
-    # numpy.polynomial's per-call overhead was most of an exact point's time
-    reference = re.compile(r"\b(?:np|numpy)\s*\.\s*polynomial\b|import\s+polynomial\b|\bpoly(?:roots|companion|mul|val)\b")
+    # the exact route brackets each stationary radius between closed-form fold
+    # edges and needs no root solver: numpy.polynomial's per-call overhead was
+    # most of an exact point's time, and companion-matrix eigenvalues
+    # (np.linalg.eigvals; eigvalsh of a Hermitian matrix stays) lost real roots
+    reference = re.compile(
+        r"\b(?:np|numpy)\s*\.\s*polynomial\b|import\s+polynomial\b|\bpoly(?:roots|companion|mul|val)\b"
+        r"|\beigvals\b"
+    )
     found = []
     for path in sorted(Path(grovergeo.__file__).parent.glob("*.py")):
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
