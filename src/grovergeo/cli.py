@@ -159,7 +159,7 @@ def entangle_sweep(n, points, method, seed):
     us = [ent.GroverPathPoint.from_angle(n, t).u for t in ts]
     # looked up through ``ent`` at call time, so wrappers installed on the module are seen
     routes = {
-        "exact": lambda: ent._exact_sweep(n, us),
+        "exact": lambda: [ent.entanglement_exact(n, u) for u in us],
         "approx": lambda: [ent.entanglement_approx_curve(n, t) for t in ts],
         "oracle": lambda: [ent.entanglement_grid_oracle(ent.grover_path_ray(n, u), n, seed=seed) for u in us],
     }

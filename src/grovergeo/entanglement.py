@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import pairwise
 
 import numpy as np
@@ -127,7 +127,10 @@ class GroverPathPoint:
 
     def __post_init__(self):
         _check_qubits(self.n)
-        u = float(self.u)
+        try:
+            u = float(self.u)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"level must be a real number, got {self.u!r}") from exc
         if not math.isfinite(u) or u < 0.0:
             raise DomainError(f"level must be finite and >= 0, got {self.u!r}")
         object.__setattr__(self, "u", u)
@@ -268,9 +271,10 @@ def _stationarity(n: int, u: float, r: float) -> float:
     return (c * ((b + a) ** (n - 1) * (b - a) + a * bn) - d * a * bn) / (d * bn * b)
 
 
-def _binomials(m: int) -> list[int]:
+@cache
+def _binomials(m: int) -> tuple[int, ...]:
     """C(m, k) for k = 0..m."""
-    return [math.comb(m, k) for k in range(m + 1)]
+    return tuple(math.comb(m, k) for k in range(m + 1))
 
 
 def _piece_root(n: int, u: float, lo: float, hi: float, f_lo: float, f_hi: float, r: float) -> float:
@@ -327,7 +331,7 @@ def _stationary_radii(n: int, u: float) -> list[float]:
     return sorted(roots)
 
 
-def extremum_roots(n: int, u):
+def extremum_roots(n: int, u: float) -> list[float]:
     """All radii r in [0, 1] stationary for the path state (n, u), sorted.
 
     The stationarity condition u[(1+r)^(n-1)(1-r) + r] = r is solved on
@@ -338,25 +342,21 @@ def extremum_roots(n: int, u):
     evaluated condition, close on two adjacent floats across its sign
     change, and the one nearer zero is the root, so a close root pair at
     the fold is neither merged nor missed.  A level u > 1 has no root:
-    u[(1+r)^(n-1)(1-r) + r] >= ur > r on (0, 1].  Given a 1-D sequence of
-    levels, returns one such list per level.
+    u[(1+r)^(n-1)(1-r) + r] >= ur > r on (0, 1].  One level per call.
     """
-    _check_qubits(n)
-    scalar = np.ndim(u) == 0
-    levels = [GroverPathPoint(n, x).u for x in ((u,) if scalar else u)]
-    out = [[] if x > 1.0 else _stationary_radii(n, x) for x in levels]
-    return out[0] if scalar else out
+    u = GroverPathPoint(n, u).u
+    return [] if u > 1.0 else _stationary_radii(n, u)
 
 
-def _path_distance(n: int, u: float, r: float, comb) -> float:
+def _path_distance(n: int, u: float, r: float) -> float:
     """Fubini-Study distance from the path state (n, u) to the product (r, 1)^n.
 
     Kahan's 4 atan2(|x - y|, |x + y|), summed over the n + 1 classes of k
-    zero bits: ``comb[k]`` = C(n, k) indices each, path amplitude 1 at k = 0
-    (the marked state) and u elsewhere, product amplitude r^k, both taken in
-    ``_chart``'s pairs: (level, marked) for u, a^k b^(n - k) for r.  The
-    squared norms 1 + (2^n - 1) u^2 and (1 + r^2)^n agree bit for bit at
-    u = r = 1 and u = r = 0, which read exactly 0.
+    zero bits: ``_binomials(n)[k]`` = C(n, k) indices each, path amplitude 1
+    at k = 0 (the marked state) and u elsewhere, product amplitude r^k, both
+    taken in ``_chart``'s pairs: (level, marked) for u, a^k b^(n - k) for r.
+    The squared norms 1 + (2^n - 1) u^2 and (1 + r^2)^n agree bit for bit
+    at u = r = 1 and u = r = 0, which read exactly 0.
     """
     level, marked = _chart(u)
     a, b = _chart(r)
@@ -364,7 +364,7 @@ def _path_distance(n: int, u: float, r: float, comb) -> float:
     product_norm = math.sqrt((a * a + b * b) ** n)
     level, marked = level / path_norm, marked / path_norm
     diff = total = 0.0
-    for k, c in enumerate(comb):
+    for k, c in enumerate(_binomials(n)):
         x, y = level if k else marked, a**k * b ** (n - k) / product_norm
         diff += c * (x - y) ** 2
         total += c * (x + y) ** 2
@@ -382,7 +382,7 @@ def entanglement_exact_2q(u: float) -> EntanglementResult:
     if u > 1.0:
         raise DomainError(f"path level must lie in [0, 1], got {u!r}")
     r = 2.0 * u / ((1.0 - u) + math.sqrt((1.0 - u) ** 2 + 4.0 * u * u))
-    return EntanglementResult(_path_distance(2, u, r, (1, 2, 1)), r, 0.0, "closed2q", None)
+    return EntanglementResult(_path_distance(2, u, r), r, 0.0, "closed2q", None)
 
 
 def entanglement_exact(n: int, u: float) -> EntanglementResult:
@@ -391,22 +391,15 @@ def entanglement_exact(n: int, u: float) -> EntanglementResult:
     Takes the distance to the product at every stationary radius in
     ``_chart``'s first chart [0, 1] and keeps the nearest, the smaller r on a
     tie; the product phase is 0 because the path amplitudes are nonnegative.
+    A level in [0, 1] has a root, since the condition reads u >= 0 at r = 0
+    and u - 1 <= 0 at r = 1; only a level past 1 has none.
     """
-    return _exact_sweep(n, [u])[0]
-
-
-def _exact_sweep(n: int, us) -> list[EntanglementResult]:
-    """``entanglement_exact`` at each level of ``us``, from one stacked ``extremum_roots`` call."""
-    levels = [GroverPathPoint(n, u).u for u in us]
-    for u in levels:
-        if u > 1.0:
-            raise DomainError(f"path level must lie in [0, 1], got {u!r}")
-    comb = _binomials(n)
-    results = []
-    for u, roots in zip(levels, extremum_roots(n, levels)):
-        e, r_star = min((_path_distance(n, u, r, comb), r) for r in roots)
-        results.append(EntanglementResult(e, r_star, 0.0, "rootfind", len(roots)))
-    return results
+    roots = extremum_roots(n, u)  # validates n and u
+    u = float(u)
+    if not roots:
+        raise DomainError(f"path level must lie in [0, 1], got {u!r}")
+    e, r_star = min((_path_distance(n, u, r), r) for r in roots)
+    return EntanglementResult(e, r_star, 0.0, "rootfind", len(roots))
 
 
 def entanglement_approx(n: int, u: float) -> EntanglementResult:
@@ -418,7 +411,7 @@ def entanglement_approx(n: int, u: float) -> EntanglementResult:
     if (n - 1) * u >= 1.0:
         raise ApproxDomainError(f"approximation needs (n - 1) * u < 1, got n={n} u={u!r}")
     r_m = u / (1.0 - (n - 1) * u)
-    return EntanglementResult(_path_distance(n, u, r_m, _binomials(n)), r_m, 0.0, "approx", None)
+    return EntanglementResult(_path_distance(n, u, r_m), r_m, 0.0, "approx", None)
 
 
 def half_way_angle(n: int) -> float:
@@ -721,10 +714,13 @@ def concurrence_from_quadric(r) -> float:
 
 
 def concurrence_along_path(u: float) -> float:
-    """Closed-form concurrence 2 u (1 - u) / (3 u^2 + 1) of the 2-qubit path state."""
-    point = GroverPathPoint(2, u)
-    u = point.u
-    return 2.0 * u * (1.0 - u) / (3.0 * u * u + 1.0)
+    """Closed-form concurrence 2 u |1 - u| / (3 u^2 + 1) of the 2-qubit path state.
+
+    Taken in ``_chart``'s pair (level, marked), 2 level |marked - level| /
+    (3 level^2 + marked^2), so no square overflows past u = 1.
+    """
+    level, marked = _chart(GroverPathPoint(2, u).u)
+    return 2.0 * level * abs(marked - level) / (3.0 * level * level + marked * marked)
 
 
 def pair_entropy_from_concurrence(c: float) -> float:

@@ -254,6 +254,27 @@ class TestEntangleSweep:
         res = runner.invoke(main, ["entangle-sweep", "--n", "10", "--points", "3"])
         assert res.exit_code == 0
 
+    @pytest.mark.parametrize("method, points", [("exact", 30), ("all", 5)])
+    def test_exact_route_is_one_call_per_level(self, runner, monkeypatch, method, points):
+        # a wrapper installed on the module sees every level of a sweep
+        args = ["entangle-sweep", "--n", "9", "--points", str(points), "--method", method]
+        plain = runner.invoke(main, args)
+        calls = {"entanglement_exact": 0, "extremum_roots": 0}
+
+        def counting(name, original):
+            def counted(*a, **kw):
+                calls[name] += 1
+                return original(*a, **kw)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(grovergeo.entanglement, name, counting(name, getattr(grovergeo.entanglement, name)))
+        res = runner.invoke(main, args)
+        assert plain.exit_code == res.exit_code == 0
+        assert calls == {"entanglement_exact": points, "extremum_roots": points}
+        assert res.stdout_bytes == plain.stdout_bytes
+
     def test_bad_method(self, runner):
         res = runner.invoke(main, ["entangle-sweep", "--n", "2", "--method", "magic"])
         assert res.exit_code == 2

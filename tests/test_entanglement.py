@@ -105,6 +105,21 @@ class TestPathPoint:
         with pytest.raises(DomainError):
             GroverPathPoint(2, np.nan)
 
+    @pytest.mark.parametrize("bad", [[0.5], [0.5, 0.1], 1j, 0.5 + 0j, np.array([0.5]), "half"])
+    def test_a_level_is_one_real_number(self, bad):
+        # every route takes one level per call; anything else is a package error
+        for make in (lambda u: GroverPathPoint(7, u), lambda u: extremum_roots(7, u),
+                     lambda u: entanglement_exact(7, u)):
+            with pytest.raises(DomainError):
+                make(bad)
+
+    def test_numpy_scalar_levels(self):
+        want = entanglement_exact(7, 0.0812)
+        for u in (np.float64(0.0812), np.array(0.0812)):
+            assert GroverPathPoint(7, u).u == 0.0812
+            assert extremum_roots(7, u) == extremum_roots(7, 0.0812)
+            assert entanglement_exact(7, u) == want
+
 
 class TestCoherentProduct:
     def test_ray_is_power_pattern(self):
@@ -279,12 +294,19 @@ class TestStationaryStructure:
     def test_extremum_roots_validation(self):
         with pytest.raises(DomainError):
             stationary_parameter(3, 1.5)
+        with pytest.raises(SizeError):
+            extremum_roots(25, 0.5)
+        for u in (-0.1, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                extremum_roots(7, u)
 
     def test_extreme_levels(self):
         for n in (1, 7, 24):
             # u[(1+r)^(n-1)(1-r) + r] >= ur > r on (0, 1] once u > 1
             for u in (np.nextafter(1.0, 2.0), 3.0, 1e308):
                 assert extremum_roots(n, u) == []
+                with pytest.raises(DomainError):
+                    entanglement_exact(n, u)
             assert extremum_roots(n, 1.0) == [1.0]
             # below the smallest normal float the root is u itself
             assert extremum_roots(n, 5e-324) == [5e-324]
@@ -383,16 +405,12 @@ class TestExactRouteProperties:
 
 
 _TINY = float(np.finfo(float).tiny)
-_STACK_LEVEL = st.one_of(
+_ROOT_LEVEL = st.one_of(
     st.floats(0.0, 1.0),
     st.floats(0.0795, 0.0825),  # the n = 7 fold window
     st.sampled_from([0.0, 1.0, 5e-324, _TINY]),
     st.floats(1.0, 1e300, exclude_min=True),
 )
-
-
-def _root_bits(rows):
-    return [[r.hex() for r in roots] for roots in rows]
 
 
 # sha256 of the roots' float.hex() bits, one line per level, taken from the
@@ -402,19 +420,9 @@ _ROOT_BITS_SHA256 = "9120f33b9a95cf29f85dd87fe9f3dc7cf7f311f48be475f9451f3667eb2
 _ROOT_BITS_EXAMPLES = [0.0, 1.0, 5e-324, _TINY, 0.0812, 0.08171729570489242, 0.0795, 0.0825, 0.5]
 
 
-class TestStackedRoots:
+class TestPerLevelRoots:
     @_PROPERTY_SETTINGS
-    @given(n=st.integers(1, 24), levels=st.lists(_STACK_LEVEL, min_size=1, max_size=64))
-    @example(n=7, levels=[0.0, 1.0, 5e-324, _TINY, 1.5, 0.0812, 0.08171729570489242, 0.0795, 0.0825])
-    @example(n=24, levels=[_TINY, 1.0, np.nextafter(1.0, 2.0), 0.0, 5e-324])
-    @example(n=1, levels=[0.0, 0.5, 1.0, 3.0])
-    def test_stack_equals_one_level_calls(self, n, levels):
-        # a row's roots depend neither on its position nor on the other levels
-        singles = [extremum_roots(n, u) for u in levels]
-        assert _root_bits(extremum_roots(n, levels)) == _root_bits(singles)
-
-    @_PROPERTY_SETTINGS
-    @given(n=st.integers(1, 24), u=_STACK_LEVEL)
+    @given(n=st.integers(1, 24), u=_ROOT_LEVEL)
     @example(n=7, u=0.08171729626723459)  # just below the fold's upper turn: a root pair 2.8e-8 apart
     @example(n=9, u=0.032362347018072515)  # just above its lower turn: a pair 3.4e-8 apart
     def test_each_root_is_an_exact_sign_change_within_one_ulp(self, n, u):
@@ -427,23 +435,9 @@ class TestStackedRoots:
         digest = hashlib.sha256()
         for n in range(1, 25):
             grids = [GroverPathPoint.from_angle(n, t).u for points in (30, 257) for t in _angle_grid(n, points)]
-            for roots in _root_bits(extremum_roots(n, _ROOT_BITS_EXAMPLES + grids)):
-                digest.update((" ".join(roots) + "\n").encode())
+            for u in _ROOT_BITS_EXAMPLES + grids:
+                digest.update((" ".join(r.hex() for r in extremum_roots(n, u)) + "\n").encode())
         assert digest.hexdigest() == _ROOT_BITS_SHA256
-
-    def test_stack_shapes(self):
-        assert extremum_roots(7, []) == []
-        assert extremum_roots(7, np.array([0.0812])) == [extremum_roots(7, 0.0812)]
-        with pytest.raises(SizeError):
-            extremum_roots(25, [])
-        with pytest.raises(DomainError):
-            extremum_roots(7, [0.5, -0.1])
-
-    def test_exact_sweep_equals_one_level_calls(self):
-        us = [0.0, 1e-9, 0.0795, 0.0812, 0.5, 1.0]
-        assert ent._exact_sweep(7, us) == [entanglement_exact(7, u) for u in us]
-        with pytest.raises(DomainError):
-            ent._exact_sweep(7, [0.5, 1.5])
 
     @pytest.mark.parametrize("n", [48, 100, 400])
     def test_per_level_solver_past_the_qubit_cap(self, n):
@@ -1098,6 +1092,16 @@ class TestPairwiseMeasures:
         for bad in ([0.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 1.0], [np.inf, 0.0, 0.0, 1.0]):
             with pytest.raises(InvalidRay):
                 concurrence(bad)
+
+    @_PROPERTY_SETTINGS
+    @given(u=st.floats(0.0, 1e308))
+    @example(u=2.0)  # 2u(1 - u) read -0.3077
+    @example(u=1e155)  # u * u overflowed: NaN
+    @example(u=1e308)
+    def test_closed_form_is_the_path_ray_concurrence_at_every_level(self, u):
+        c = concurrence_along_path(u)
+        assert 0.0 <= c <= 1.0
+        assert abs(c - concurrence(grover_path_ray(2, u))) <= 4.5e-16
 
     def test_underflowing_state_normalises(self):
         assert concurrence([1e-200, 0.0, 0.0, 1e-200]) == pytest.approx(1.0, abs=1e-15)
