@@ -128,6 +128,9 @@ class GroverPathPoint:
     def __post_init__(self):
         _check_qubits(self.n)
         try:
+            # float() would parse text and read a bool as 0 or 1
+            if not isinstance(self.u, float) and np.asarray(self.u).dtype.kind in "bSU":
+                raise TypeError
             u = float(self.u)
         except (TypeError, ValueError) as exc:
             raise DomainError(f"level must be a real number, got {self.u!r}") from exc
@@ -208,10 +211,11 @@ class EntanglementResult:
     """Entanglement value plus the nearest product state's coordinates.
 
     ``value`` is the Fubini-Study distance to the product the route found:
-    (r_star e^{i chi_star}, 1)^n, or a general product when ``r_star`` and
-    ``chi_star`` are NaN because the search did not go through the
-    symmetric chart.  ``root_count`` is None unless the root-finding route
-    produced it.
+    (r_star e^{i chi_star}, 1)^n, or another product when ``r_star`` and
+    ``chi_star`` are NaN: a general one, because the search did not go
+    through the symmetric chart, or a symmetric one with some qubits
+    flipped, found in a bit-flip frame.  ``root_count`` is None unless the
+    root-finding route produced it.
     """
 
     value: float
@@ -540,7 +544,7 @@ def _grid_starts(values: np.ndarray, peaks: int) -> tuple[np.ndarray, np.ndarray
     flat = np.flatnonzero(is_peak)
     top = flat[np.argsort(-values.flat[flat], kind="stable")[:peaks]]
     row_best = np.arange(1, rows) * cols + np.argmax(values[1:], axis=1)
-    return top, np.setdiff1d(row_best, top)
+    return top, row_best[~np.isin(row_best, top)]  # np.setdiff1d would import numpy.ma
 
 
 def _chart_candidates(coeffs):
@@ -581,14 +585,60 @@ def closest_product_overlap(state, n: int, seed: int = 0):
     (sqrt(C(n, k)) times the class-k amplitude, n + 1 numbers), and the
     winner's chart value is the overlap.  The returned coordinates
     (r, chi) are the per-qubit point (r e^{i chi}, 1), chi in [0, 2 pi),
-    with r = inf meaning the product |00...0>.  General states fall back
-    to per-qubit coordinate ascent from 34 starts (uniform, greedy and 32
-    random ones drawn from ``seed``) in one kernel call; the first
+    with r = inf meaning the product |00...0>.  A state that is not
+    symmetric as it stands is tried in the frames where every index is
+    XOR-ed with that of its largest, then its smallest amplitude: X gates
+    leave the overlap unchanged, so a state symmetric in such a frame (a
+    Grover state at any target) takes the symmetric search there, and
+    its product is flipped back.  That product is not (v, 1)^n, so the
+    coordinates are NaN, and ``symmetric`` is True.  Other states fall
+    back to per-qubit coordinate ascent from 34 starts (uniform, greedy
+    and 32 random ones drawn from ``seed``) in one kernel call; the first
     converged start of highest overlap wins, and the coordinates are NaN.
 
     Returns ``(p, r_star, chi_star, symmetric)``.
     """
     return _closest_product(state, n, seed)[:4]
+
+
+def _symmetric_closest(psi: np.ndarray, n: int, flip: int):
+    """:func:`_closest_product`'s tuple for a unit ``psi`` symmetric once every index is XOR-ed with ``flip``, else None.
+
+    The n one-bit indices share a class in that frame, so two of them more
+    than 2 ``_SYMMETRY_TOL`` apart reject it before the full class test:
+    both lie within ``_SYMMETRY_TOL`` of the class mean when it passes.  The
+    product found in the frame is flipped back by the same index gather.
+    Unless ``flip`` is 0 it is not of the form (v, 1)^n, and its
+    coordinates are NaN.
+    """
+    one_bit = psi[(1 << np.arange(n)) ^ flip]
+    if np.max(np.abs(one_bit - one_bit[0])) > 2.0 * _SYMMETRY_TOL:
+        return None
+    zeros = _zeros_per_index(n)
+    if flip:
+        zeros = zeros[np.arange(zeros.size) ^ flip]
+    sizes = np.bincount(zeros)  # C(n, k) indices in class k
+    sums = np.bincount(zeros, psi.real, n + 1) + 1j * np.bincount(zeros, psi.imag, n + 1)
+    means = sums / sizes
+    if np.max(np.abs(psi - means[zeros])) > _SYMMETRY_TOL:
+        return None
+    # each candidate is a per-qubit pair (a, b), amplitude a^zeros(x) b^(n - zeros(x)):
+    # chart 1 gives (v, 1), chart 2 (1, s), the point v = 1/s
+    v1, p1 = _chart_candidates(sums.conj())
+    s2, p2 = _chart_candidates(sums[::-1].conj())
+    a, b = np.r_[v1, np.ones(s2.size)], np.r_[np.ones(v1.size), s2]
+    # ranked in Dicke coordinates, where fs_distance is that of the 2^n vectors
+    root = np.sqrt(sizes)
+    dicke = root * means
+    classes = _class_amplitudes(a[:, None], b[:, None], n)
+    best = int(np.argmin([fs_distance(dicke, c) for c in root * classes]))
+    a, b = a[best], b[best]
+    p = min(1.0, float(np.r_[p1, p2][best]))
+    product = _unit(classes[best][zeros])
+    if flip:
+        return p, math.nan, math.nan, True, product
+    r_star = math.inf if b == 0 else abs(a) / abs(b)
+    return p, float(r_star), _phase(a * b.conjugate()), True, product
 
 
 def _closest_product(state, n: int, seed: int):
@@ -602,33 +652,25 @@ def _closest_product(state, n: int, seed: int):
     except InvalidRay as exc:
         raise DomainError("state must be a nonzero finite vector") from exc
 
-    zeros = _zeros_per_index(n)
-    sizes = np.bincount(zeros)  # C(n, k) indices in class k
-    sums = np.bincount(zeros, psi.real, n + 1) + 1j * np.bincount(zeros, psi.imag, n + 1)
-    means = sums / sizes
-    if np.max(np.abs(psi - means[zeros])) <= _SYMMETRY_TOL:
-        # each candidate is a per-qubit pair (a, b), amplitude a^zeros(x) b^(n - zeros(x)):
-        # chart 1 gives (v, 1), chart 2 (1, s), the point v = 1/s
-        v1, p1 = _chart_candidates(sums.conj())
-        s2, p2 = _chart_candidates(sums[::-1].conj())
-        a, b = np.r_[v1, np.ones(s2.size)], np.r_[np.ones(v1.size), s2]
-        # ranked in Dicke coordinates, where fs_distance is that of the 2^n vectors
-        root = np.sqrt(sizes)
-        dicke = root * means
-        classes = _class_amplitudes(a[:, None], b[:, None], n)
-        best = int(np.argmin([fs_distance(dicke, c) for c in root * classes]))
-        a, b = a[best], b[best]
-        r_star = math.inf if b == 0 else abs(a) / abs(b)
-        p = min(1.0, float(np.r_[p1, p2][best]))
-        return p, float(r_star), _phase(a * b.conjugate()), True, _unit(classes[best][zeros])
+    found = _symmetric_closest(psi, n, 0)
+    if found is not None:
+        return found
+    # X gates leave E unchanged: a state symmetric after a bit flip, such as a
+    # Grover state at any target, is symmetric in the frame of its largest or
+    # its smallest amplitude
+    modulus = np.abs(psi)
+    top = int(np.argmax(modulus))
+    for flip in (top, int(np.argmin(modulus))):
+        found = _symmetric_closest(psi, n, flip) if flip else None
+        if found is not None:
+            return found
 
     starts = np.empty((_ASCENT_STARTS + 2, n, 2), dtype=np.complex128)
     starts[0] = 1.0 / math.sqrt(2.0)
     # greedy start from the largest amplitude's bit pattern
-    x = int(np.argmax(np.abs(psi)))
     starts[1] = 0.0
     for j in range(n):
-        starts[1, j, (x >> (n - 1 - j)) & 1] = 1.0
+        starts[1, j, (top >> (n - 1 - j)) & 1] = 1.0
     # each random start draws its real parts, then its imaginary parts
     draws = np.random.default_rng(seed).normal(size=(_ASCENT_STARTS, 2, n, 2))
     f = (draws[:, 0] + 1j * draws[:, 1]).reshape(-1, 2)

@@ -46,6 +46,7 @@ from grovergeo.errors import (
     InvalidRay,
     SizeError,
 )
+from grovergeo.grover_engine import SearchInstance, grover_state, optimal_query_count
 from grovergeo.cli import _angle_grid
 from grovergeo.ray_space import _norm, _unit
 
@@ -109,6 +110,15 @@ class TestPathPoint:
     def test_a_level_is_one_real_number(self, bad):
         # every route takes one level per call; anything else is a package error
         for make in (lambda u: GroverPathPoint(7, u), lambda u: extremum_roots(7, u),
+                     lambda u: entanglement_exact(7, u)):
+            with pytest.raises(DomainError):
+                make(bad)
+
+    @pytest.mark.parametrize(
+        "bad", ["0.5", b"0.5", np.str_("0.5"), np.array("0.5"), True, False, np.bool_(True), np.array(True)]
+    )
+    def test_text_and_bool_levels_are_rejected(self, bad):
+        for make in (lambda u: GroverPathPoint(3, u), lambda u: extremum_roots(7, u),
                      lambda u: entanglement_exact(7, u)):
             with pytest.raises(DomainError):
                 make(bad)
@@ -1021,6 +1031,86 @@ class TestOracle:
         # |z|^2 underflows to 0: the state is rescaled by a power of two, not rejected
         res = entanglement_grid_oracle(np.array([1e-200, 0.0, 0.0, 1e-200]), 2)
         assert res.value == pytest.approx(np.pi / 2, abs=1e-15)
+
+
+# the symmetric oracle leaves numpy.ma unimported (np.setdiff1d imports it, 12 ms)
+_NO_MASKED_ARRAYS = """
+import sys
+from grovergeo import entanglement_grid_oracle, grover_path_ray
+
+entanglement_grid_oracle(grover_path_ray(6, 0.3), 6)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def _no_ascent(*args):
+    raise AssertionError("a state symmetric in a bit-flip frame reached the ascent")
+
+
+class TestBitFlipFrames:
+    """States symmetric once every index is XOR-ed with one mask take the symmetric oracle."""
+
+    def _flipped_frame_result(self, psi, n):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "product_ascent", _no_ascent)
+            p, r_star, chi_star, symmetric, product = ent._closest_product(psi, n, 0)
+            res = entanglement_grid_oracle(psi, n)
+        assert symmetric
+        assert res.value == fs_distance(psi, product)
+        assert res.value == pytest.approx(2.0 * np.arccos(np.sqrt(p)), abs=1e-7)
+        return res, r_star, chi_star
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(n=st.integers(2, 12), target=st.integers(0, 2**12 - 1), step=st.floats(0.0, 1.0))
+    def test_grover_states_at_any_target(self, n, target, step):
+        size = 1 << n
+        inst = SearchInstance(n, target % size)
+        k = round(step * optimal_query_count(size))
+        psi = grover_state(inst, k).coords
+        res, r_star, chi_star = self._flipped_frame_result(psi, n)
+        if k and inst.target not in (0, size - 1):  # k = 0 is the uniform state, symmetric as it stands
+            assert math.isnan(r_star) and math.isnan(chi_star)
+        # the optimal count can overshoot the marked state, to a level below 0
+        u = (psi[inst.target ^ 1] / psi[inst.target]).real
+        if u >= 0.0:
+            assert abs(res.value - entanglement_exact(n, min(u, 1.0)).value) <= 1e-15
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(n=st.integers(2, 12), u=st.floats(0.0, 4.0), mask=st.integers(0, 2**12 - 1))
+    @example(n=5, u=2.5, mask=9)  # above level 1 the frame is the smallest amplitude's
+    def test_flipped_path_rays(self, n, u, mask):
+        ray = grover_path_ray(n, u).coords
+        psi = ray[np.arange(1 << n) ^ (mask % (1 << n))]
+        res, _, _ = self._flipped_frame_result(psi, n)
+        if u <= 1.0:
+            assert abs(res.value - entanglement_exact(n, u).value) <= 1e-15
+        else:  # local X gates leave E unchanged: the unflipped ray is symmetric as it stands
+            assert abs(res.value - entanglement_grid_oracle(ray, n).value) <= 1e-15
+
+    @pytest.mark.parametrize("scale", [0.5, 0.999])
+    @pytest.mark.parametrize("flip", [0, 5, 26])
+    def test_frame_pre_check_accepts_what_the_class_test_accepts(self, monkeypatch, scale, flip):
+        # one-bit amplitudes nudged around their unchanged mean by up to the tolerance:
+        # opposite nudges lie nearly 2 _SYMMETRY_TOL apart, and the class test passes
+        monkeypatch.setattr(kernels, "product_ascent", _no_ascent)
+        n = 6
+        # the marked amplitude, the largest, sits at index flip
+        psi = grover_path_ray(n, 0.2).coords[np.arange(1 << n) ^ flip ^ ((1 << n) - 1)]
+        one_bit = (1 << np.arange(n)) ^ flip
+        psi[one_bit] += scale * ent._SYMMETRY_TOL * np.exp(2j * np.pi * np.arange(n) / n)
+        assert np.max(np.abs(psi[one_bit] - psi[one_bit[0]])) > 1.9 * scale * ent._SYMMETRY_TOL
+        assert closest_product_overlap(psi, n)[3]
+
+    def test_symmetric_oracle_leaves_numpy_ma_unimported(self):
+        src = str(Path(grovergeo.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", _NO_MASKED_ARRAYS],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 class TestPairwiseMeasures:
